@@ -415,6 +415,8 @@ func BenchmarkDijkstraCSR(b *testing.B) {
 	}
 }
 
+// BenchmarkRTreeKNN times a warm best-first k-NN on a reused Scratch and
+// result buffer — the form MR3 step 1 runs.
 func BenchmarkRTreeKNN(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	items := make([]index.Item, 10000)
@@ -422,9 +424,13 @@ func BenchmarkRTreeKNN(b *testing.B) {
 		items[i] = index.Item{P: geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, ID: int64(i)}
 	}
 	tr := index.Bulk(items)
+	q := geom.Vec2{X: 500, Y: 500}
+	var sc index.Scratch
+	dst := tr.KNNInto(q, 10, nil, nil, &sc, nil) // warm the scratch and dst
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.KNN(geom.Vec2{X: 500, Y: 500}, 10, nil)
+		dst = tr.KNNInto(q, 10, nil, nil, &sc, dst[:0])
 	}
 }
 
@@ -552,6 +558,19 @@ func BenchmarkKNNUnderUpdates(b *testing.B) {
 	}
 	store := db.ObjectStore()
 	s := db.NewSession(nil)
+	// Warm the session scratch on queries outside the mix (the store is
+	// left untouched), so allocs/op counts steady-state work rather than
+	// cold growth amortised over b.N.
+	warm, err := workload.RandomQueries(m, db.Loc, 16, m.Extent().Width()/10, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range warm {
+		if _, err := s.MR3(q, 5, core.S2, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Drain update ops until the mix yields a query, then time it.

@@ -121,6 +121,30 @@ func getEqDB(t *testing.T) (dyn, ref *TerrainDB, initial []workload.Object) {
 	return eqDB.dyn, eqDB.ref, eqDB.initial
 }
 
+// TestEmptiedStoreQueries deletes every object and queries the empty epoch:
+// k-NN queries must fail to bound with an error rather than panic in the
+// ranker (the empty candidate set reaches it as k = 0), and a range query
+// answers empty.
+func TestEmptiedStoreQueries(t *testing.T) {
+	db := buildDB(t, dem.BH, 8, 5, 7)
+	q := queryPoints(t, db, 1, 3)[0]
+	var ids []int64
+	for _, o := range db.Objects() {
+		ids = append(ids, o.ID)
+	}
+	db.ObjectStore().Delete(ids)
+	if _, err := db.MR3(q, 2, S2, Options{}); err == nil {
+		t.Error("MR3 over an emptied store should fail to bound")
+	}
+	if _, err := db.EA(q, 2); err == nil {
+		t.Error("EA over an emptied store should fail to bound")
+	}
+	res, err := db.SurfaceRange(q, 50, S2, Options{})
+	if err != nil || len(res.Neighbors) != 0 {
+		t.Errorf("SurfaceRange over an emptied store = %d neighbours, %v; want none", len(res.Neighbors), err)
+	}
+}
+
 // FuzzObjstoreEquivalence is the dynamic-correctness gate: any interleaving
 // of inserts, moves and deletes followed by a k-NN query must produce the
 // same answer as rebuilding a fresh static TerrainDB from the surviving

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"surfknn/internal/dem"
+	"surfknn/internal/geom"
+	"surfknn/internal/index"
 	"surfknn/internal/workload"
 )
 
@@ -87,28 +90,41 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotV3BackwardCompat pins the v3 reader: a genuine v3 byte stream
-// (no flat-buffer tail) still loads, rebuilding the pathnet and the Dxy
-// pack, and answers queries exactly as the database that saved it.
+// snapshotV3Fixture is a genuine v3 byte stream (no flat-buffer tail),
+// written by the v3 writer before it was retired, of
+// buildDB(t, dem.BH, 8, 20, 1212). fixtureDB rebuilds that database
+// deterministically.
+const snapshotV3Fixture = "testdata/snapshot_v3.skdb"
+
+func fixtureDB(t *testing.T) *TerrainDB { return buildDB(t, dem.BH, 8, 20, 1212) }
+
+func loadV3Fixture(t *testing.T) *TerrainDB {
+	t.Helper()
+	raw, err := os.ReadFile(snapshotV3Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(raw[:8]); got != "SKNNDB03" {
+		t.Fatalf("v3 fixture magic = %q", got)
+	}
+	db, err := Load(bytes.NewReader(raw), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestSnapshotV3BackwardCompat pins the v3 reader: the committed v3
+// snapshot still loads, rebuilding the pathnet and the Dxy pack, and
+// answers queries exactly as the database that saved it.
 func TestSnapshotV3BackwardCompat(t *testing.T) {
-	db := buildDB(t, dem.BH, 16, 40, 1212)
+	db := fixtureDB(t)
 	q := queryPoints(t, db, 1, 64)[0]
 	want, err := db.MR3(q, 5, S2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := db.saveV3(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(buf.Bytes()[:8]); got != "SKNNDB03" {
-		t.Fatalf("v3 magic = %q", got)
-	}
-	db2, err := Load(&buf, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := loadV3Fixture(t)
 	q2, err := db2.SurfacePointAt(q.XY())
 	if err != nil {
 		t.Fatal(err)
@@ -126,23 +142,18 @@ func TestSnapshotV3BackwardCompat(t *testing.T) {
 // that answer MR3, EA and range queries bit-identically, page counts
 // included.
 func TestSnapshotV4Equivalence(t *testing.T) {
-	db := buildDB(t, dem.BH, 16, 60, 2006)
+	db := fixtureDB(t)
 	qs := queryPoints(t, db, 3, 77)
+	radius := db.Mesh.Extent().Width() / 3
 
-	var b3, b4 bytes.Buffer
-	if err := db.saveV3(&b3); err != nil {
-		t.Fatal(err)
-	}
+	var b4 bytes.Buffer
 	if err := db.Save(&b4); err != nil {
 		t.Fatal(err)
 	}
 	if got := string(b4.Bytes()[:8]); got != "SKNNDB04" {
 		t.Fatalf("v4 magic = %q", got)
 	}
-	db3, err := Load(&b3, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db3 := loadV3Fixture(t)
 	db4, err := Load(&b4, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -177,15 +188,72 @@ func TestSnapshotV4Equivalence(t *testing.T) {
 		}
 		compareResults(t, fmt.Sprintf("q%d EA", qi), got, want)
 
-		want, err = db3.SurfaceRange(q3, 250.0, S2, Options{})
+		want, err = db3.SurfaceRange(q3, radius, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = db4.SurfaceRange(q4, 250.0, S2, Options{})
+		got, err = db4.SurfaceRange(q4, radius, S2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		compareResults(t, fmt.Sprintf("q%d range", qi), got, want)
+	}
+}
+
+// TestLoadRejectsForgedIndexLayout forges v4 snapshots whose Dxy child or
+// item ranges break the packed layout. The writer computes a valid CRC over
+// the forged bytes, so only the loader's structural check stands between
+// them and a search that loops or returns an item twice.
+func TestLoadRejectsForgedIndexLayout(t *testing.T) {
+	db := buildDB(t, dem.BH, 8, 2, 31)
+	objs := db.Objects()
+	items := make([]index.Item, len(objs))
+	for i, o := range objs {
+		items[i] = index.Item{P: o.Point.XY(), ID: o.ID}
+	}
+	all := db.Mesh.Extent()
+	forge := func(leaf []bool, start, count []int32) index.Flat {
+		mbrs := make([]geom.MBR, len(leaf))
+		for i := range mbrs {
+			mbrs[i] = all
+		}
+		return index.Flat{Leaf: leaf, MBR: mbrs, Start: start, Count: count, Items: items}
+	}
+	cases := []struct {
+		name string
+		flat index.Flat
+	}{
+		// The root lists itself and the leaf as children: a cycle.
+		{"self-child", forge([]bool{false, true}, []int32{0, 0}, []int32{2, 2})},
+		// Two internal nodes share the leaf.
+		{"shared-child", forge([]bool{false, false, true}, []int32{1, 2, 0}, []int32{2, 1, 2})},
+		// An empty root lets node 1's range start at node 1 itself: the
+		// ranges tile, but node 1 is its own child.
+		{"tiled-self-child", forge([]bool{false, false, true}, []int32{1, 1, 0}, []int32{0, 2, 2})},
+		// Two leaves list the same items.
+		{"shared-items", forge([]bool{false, true, true}, []int32{1, 0, 0}, []int32{2, 2, 2})},
+		// The leaves skip an item.
+		{"item-gap", forge([]bool{false, true, true}, []int32{1, 0, 2}, []int32{2, 1, 0})},
+		// An internal node's child range lies outside the node slab.
+		{"child-overrun", forge([]bool{false, true}, []int32{1, 0}, []int32{2, 2})},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		if err := db.save(&buf, objs, 0, c.flat); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf, Config{})
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", c.name, err)
+		}
+	}
+	// The packed layout itself loads.
+	var buf bytes.Buffer
+	if err := db.save(&buf, objs, 0, index.Bulk(items).Flatten()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, Config{}); err != nil {
+		t.Fatalf("packed layout rejected: %v", err)
 	}
 }
 

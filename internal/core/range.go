@@ -220,8 +220,12 @@ func (s *Session) ClosestPairCtx(ctx context.Context, sched Schedule, opt Option
 		d2  float64
 	}
 	srcs := make([]src, 0, len(table))
+	var (
+		knnSc index.Scratch
+		nn    []index.Item
+	)
 	for i, o := range table {
-		nn := view.KNN(o.Point.XY(), 2, nil) // first hit is the object itself
+		nn = view.KNNInto(o.Point.XY(), 2, nil, &knnSc, nn[:0]) // first hit is the object itself
 		d := math.Inf(1)
 		if len(nn) == 2 {
 			d = nn[1].P.Dist(o.Point.XY())

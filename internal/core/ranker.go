@@ -539,10 +539,12 @@ func sortCandsByUB(a []*candidate) {
 }
 
 // kthCand returns the candidate holding the k-th smallest upper bound
-// among non-out candidates, or nil when fewer than k remain.
+// among non-out candidates, or nil when fewer than k remain. rank clamps k
+// to the candidate count, so an empty candidate set (every object deleted)
+// arrives as k = 0 and has no k-th candidate either.
 func (r *ranker) kthCand() *candidate {
 	alive := r.aliveCands()
-	if len(alive) < r.k {
+	if r.k < 1 || len(alive) < r.k {
 		return nil
 	}
 	sortCandsByUB(alive)

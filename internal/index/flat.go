@@ -2,10 +2,12 @@ package index
 
 import "surfknn/internal/geom"
 
-// Flat is the tree's query-time SoA form, exposed for persistence: five
-// flat buffers that a snapshot can write (and mmap back) verbatim. Node i's
-// children (internal) or items (leaf) are Start[i]..Start[i]+Count[i]; node
-// 0 is the root.
+// Flat is the tree's SoA form, exposed for persistence: five flat buffers
+// that a snapshot can write (and mmap back) verbatim. Node i's children
+// (internal) or items (leaf) are Start[i]..Start[i]+Count[i]; node 0 is the
+// root. Bulk numbers nodes breadth-first, so internal nodes' child ranges
+// tile nodes 1..len(Leaf)-1 in node order and leaves' item ranges tile the
+// item slab in node order.
 type Flat struct {
 	Leaf  []bool
 	MBR   []geom.MBR
@@ -15,26 +17,15 @@ type Flat struct {
 }
 
 // Flatten returns the tree's flat buffers. They are the tree's own query
-// structures, not copies: callers must treat them as read-only and must not
-// use them across a mutation.
-func (t *RTree) Flatten() Flat {
-	return Flat{Leaf: t.leaf, MBR: t.mbr, Start: t.start, Count: t.count, Items: t.items}
-}
+// structures, not copies: callers must treat them as read-only.
+func (t *RTree) Flatten() Flat { return t.flat }
 
-// FromFlat rebuilds a tree directly from its flat buffers without any
-// repacking; the buffers are retained. The result serves queries
-// immediately; the first Insert transparently rebuilds a pointer tree from
-// the item slab.
+// FromFlat wraps flat buffers (as Flatten returned them) as a tree without
+// any repacking; the buffers are retained. An empty Flat yields the empty
+// tree.
 func FromFlat(f Flat) *RTree {
 	if len(f.Leaf) == 0 {
-		return New()
+		return Bulk(nil)
 	}
-	return &RTree{
-		size:  len(f.Items),
-		leaf:  f.Leaf,
-		mbr:   f.MBR,
-		start: f.Start,
-		count: f.Count,
-		items: f.Items,
-	}
+	return &RTree{flat: f}
 }

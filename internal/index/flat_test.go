@@ -27,11 +27,12 @@ func (h *refHeap) Pop() interface{} {
 }
 
 func refKNN(t *RTree, q geom.Vec2, k int, visits *int64) []Item {
-	if k <= 0 || t.size == 0 {
+	f := &t.flat
+	if k <= 0 || len(f.Items) == 0 {
 		return nil
 	}
 	pq := &refHeap{}
-	heap.Push(pq, knnEntry{dist: t.mbr[0].DistToPoint(q), ni: 0})
+	heap.Push(pq, knnEntry{dist: f.MBR[0].DistToPoint(q), ni: 0})
 	var out []Item
 	for pq.Len() > 0 && len(out) < k {
 		e := heap.Pop(pq).(knnEntry)
@@ -40,15 +41,15 @@ func refKNN(t *RTree, q geom.Vec2, k int, visits *int64) []Item {
 			continue
 		}
 		visit(visits)
-		lo, n := t.start[e.ni], t.count[e.ni]
-		if t.leaf[e.ni] {
-			for _, it := range t.items[lo : lo+n] {
+		lo, n := f.Start[e.ni], f.Count[e.ni]
+		if f.Leaf[e.ni] {
+			for _, it := range f.Items[lo : lo+n] {
 				heap.Push(pq, knnEntry{dist: it.P.Dist(q), item: it, leaf: true})
 			}
 			continue
 		}
 		for c := lo; c < lo+n; c++ {
-			heap.Push(pq, knnEntry{dist: t.mbr[c].DistToPoint(q), ni: c})
+			heap.Push(pq, knnEntry{dist: f.MBR[c].DistToPoint(q), ni: c})
 		}
 	}
 	return out
@@ -72,7 +73,7 @@ func TestConcreteHeapMatchesContainerHeap(t *testing.T) {
 		k := 1 + rng.Intn(40)
 		var vWant, vGot int64
 		want := refKNN(tr, q, k, &vWant)
-		got := tr.KNN(q, k, &vGot)
+		got := knn(tr, q, k, &vGot)
 		if vWant != vGot {
 			t.Fatalf("trial %d: visits %d != reference %d", trial, vGot, vWant)
 		}
@@ -95,15 +96,15 @@ func TestFlatRoundTrip(t *testing.T) {
 	if loaded.Len() != tr.Len() {
 		t.Fatalf("Len = %d, want %d", loaded.Len(), tr.Len())
 	}
-	if err := loaded.Validate(); err != nil {
+	if err := validate(loaded); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		var v1, v2 int64
-		a := tr.KNN(q, 10, &v1)
-		b := loaded.KNN(q, 10, &v2)
+		a := knn(tr, q, 10, &v1)
+		b := knn(loaded, q, 10, &v2)
 		if v1 != v2 || len(a) != len(b) {
 			t.Fatalf("loaded tree diverged: visits %d/%d lens %d/%d", v1, v2, len(a), len(b))
 		}
@@ -112,8 +113,8 @@ func TestFlatRoundTrip(t *testing.T) {
 				t.Fatalf("item %d: %+v != %+v", i, a[i], b[i])
 			}
 		}
-		region := geom.MBR{MinX: q.X, MinY: q.Y, MaxX: q.X + 150, MaxY: q.Y + 150}
-		ra, rb := tr.Range(region, nil), loaded.Range(region, nil)
+		ra := tr.WithinDistInto(q, 150, nil, nil)
+		rb := loaded.WithinDistInto(q, 150, nil, nil)
 		if len(ra) != len(rb) {
 			t.Fatalf("range diverged: %d vs %d", len(ra), len(rb))
 		}
@@ -121,22 +122,6 @@ func TestFlatRoundTrip(t *testing.T) {
 	// Empty round-trips.
 	if FromFlat(Bulk(nil).Flatten()).Len() != 0 {
 		t.Error("empty flat round-trip")
-	}
-}
-
-func TestInsertAfterFromFlat(t *testing.T) {
-	items := randomItems(300, 23)
-	loaded := FromFlat(Bulk(items).Flatten())
-	loaded.Insert(Item{P: geom.Vec2{X: 1234, Y: -7}, ID: 9999})
-	if loaded.Len() != 301 {
-		t.Fatalf("Len = %d", loaded.Len())
-	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := loaded.KNN(geom.Vec2{X: 1234, Y: -7}, 1, nil)
-	if len(got) != 1 || got[0].ID != 9999 {
-		t.Fatalf("inserted item not findable: %v", got)
 	}
 }
 
@@ -150,14 +135,13 @@ func TestKNNIntoWarmDoesNotAllocate(t *testing.T) {
 	dst := make([]Item, 0, 64)
 	buf := make([]Item, 0, 6000)
 	q := geom.Vec2{X: 500, Y: 500}
-	region := geom.MBR{MinX: 100, MinY: 100, MaxX: 600, MaxY: 600}
+	skip := map[int64]struct{}{1: {}, 2: {}, 3: {}}
 	// Warm the scratch and buffers to their high-water marks.
-	dst = tr.KNNInto(q, 50, nil, nil, &sc, dst[:0])
-	buf = tr.RangeInto(region, nil, buf[:0])
+	dst = tr.KNNInto(q, 50, nil, skip, &sc, dst[:0])
 	buf = tr.WithinDistInto(q, 300, nil, buf[:0])
 	if n := testing.AllocsPerRun(20, func() {
 		dst = tr.KNNInto(q, 50, nil, nil, &sc, dst[:0])
-		buf = tr.RangeInto(region, nil, buf[:0])
+		dst = tr.KNNInto(q, 50, nil, skip, &sc, dst[:0])
 		buf = tr.WithinDistInto(q, 300, nil, buf[:0])
 	}); n != 0 {
 		t.Fatalf("warm searches allocate %.1f times per run, want 0", n)

@@ -18,6 +18,11 @@ type knnEntry struct {
 // session).
 type Scratch struct {
 	kh []knnEntry
+
+	// Items is a spare result buffer for callers that merge several
+	// searches (an objstore epoch merges its delta overlay through it);
+	// the searches themselves never touch it.
+	Items []Item
 }
 
 // The heap code below replicates container/heap's sift loops verbatim
@@ -63,40 +68,27 @@ func khPop(h []knnEntry) ([]knnEntry, knnEntry) {
 	return h[:n], e
 }
 
-// KNN returns the k items nearest to q in ascending distance order
-// (fewer when the tree holds fewer than k items), using the classic
-// best-first traversal [Hjaltason & Samet]. Node visits are charged to
-// visits (nil to skip counting).
-func (t *RTree) KNN(q geom.Vec2, k int, visits *int64) []Item {
-	return t.KNNFunc(q, k, visits, nil)
-}
-
-// KNNFunc is KNN with a keep predicate applied as leaf items are
-// discovered: rejected items never enter the candidate queue, so the
-// traversal yields the k nearest *kept* items rather than a post-filtered
-// (and possibly short) prefix. Node visits are charged exactly as in KNN —
-// with a nil or all-true keep the control flow is identical, which is what
-// lets a quiesced objstore epoch reproduce the static path's page counts.
-func (t *RTree) KNNFunc(q geom.Vec2, k int, visits *int64, keep func(Item) bool) []Item {
-	var sc Scratch
-	out := t.KNNInto(q, k, visits, keep, &sc, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// KNNInto is KNNFunc running on caller-owned scratch and appending results
-// into dst — the warm-query form: with sc and dst at their high-water
-// capacity a search performs no allocation.
+// KNNInto appends the k items nearest to q to dst in ascending distance
+// order (fewer when the tree holds fewer than k), using the classic
+// best-first traversal [Hjaltason & Samet] on caller-owned scratch: with sc
+// and dst at their high-water capacity a search performs no allocation.
+// Node visits are charged to visits (nil to skip counting).
+//
+// Items whose ID is in skip (an objstore epoch's tombstones) are dropped as
+// their leaf is opened, so they never enter the queue: the search yields the
+// k nearest kept items rather than a short post-filtered prefix. A nil or
+// empty skip leaves the control flow — and so the visit count — exactly as
+// unfiltered, which is what lets a quiesced epoch reproduce the static
+// path's page counts.
 //
 //sklint:hotpath
-func (t *RTree) KNNInto(q geom.Vec2, k int, visits *int64, keep func(Item) bool, sc *Scratch, dst []Item) []Item {
-	if k <= 0 || t.size == 0 {
+func (t *RTree) KNNInto(q geom.Vec2, k int, visits *int64, skip map[int64]struct{}, sc *Scratch, dst []Item) []Item {
+	f := &t.flat
+	if k <= 0 || len(f.Items) == 0 {
 		return dst
 	}
 	pq := sc.kh[:0]
-	pq = khPush(pq, knnEntry{dist: t.mbr[0].DistToPoint(q), ni: 0})
+	pq = khPush(pq, knnEntry{dist: f.MBR[0].DistToPoint(q), ni: 0})
 	found := 0
 	for len(pq) > 0 && found < k {
 		var e knnEntry
@@ -107,17 +99,21 @@ func (t *RTree) KNNInto(q geom.Vec2, k int, visits *int64, keep func(Item) bool,
 			continue
 		}
 		visit(visits)
-		lo, n := t.start[e.ni], t.count[e.ni]
-		if t.leaf[e.ni] {
-			for _, it := range t.items[lo : lo+n] {
-				if keep == nil || keep(it) {
-					pq = khPush(pq, knnEntry{dist: it.P.Dist(q), item: it, leaf: true})
+		lo, n := f.Start[e.ni], f.Count[e.ni]
+		if f.Leaf[e.ni] {
+			for _, it := range f.Items[lo : lo+n] {
+				// len first: an unfiltered search skips the map probe.
+				if len(skip) > 0 {
+					if _, gone := skip[it.ID]; gone {
+						continue
+					}
 				}
+				pq = khPush(pq, knnEntry{dist: it.P.Dist(q), item: it, leaf: true})
 			}
 			continue
 		}
 		for c := lo; c < lo+n; c++ {
-			pq = khPush(pq, knnEntry{dist: t.mbr[c].DistToPoint(q), ni: c})
+			pq = khPush(pq, knnEntry{dist: f.MBR[c].DistToPoint(q), ni: c})
 		}
 	}
 	sc.kh = pq[:0]

@@ -1,7 +1,7 @@
 // Package index provides the 2-D spatial index over object points (the
 // paper's Dxy, the projections of the objects onto the (x,y)-plane): an
-// R-tree with best-first k-NN search and range queries. Node visits are
-// counted as the index's page-access contribution.
+// STR-packed R-tree with best-first k-NN search and circular range queries.
+// Node visits are counted as the index's page-access contribution.
 package index
 
 import (
@@ -17,46 +17,23 @@ type Item struct {
 	ID int64
 }
 
-const (
-	maxEntries = 32 // entries per node (≈ a 4 KiB page of point records)
-	minEntries = maxEntries * 2 / 5
-)
+const maxEntries = 32 // entries per node (≈ a 4 KiB page of point records)
 
-// node is the build-time representation: a conventional pointer tree that
-// Bulk and Insert manipulate. Queries never touch it — every mutation
-// re-packs the tree into the flat SoA arrays below, which are the only
-// structures searches read.
-type node struct {
-	leaf     bool
-	mbr      geom.MBR
-	children []*node
-	items    []Item
-}
-
-// RTree is a dynamic R-tree over 2-D points.
-// Not safe for concurrent mutation; once built it is immutable at query
-// time, so concurrent searches are safe. Queries take a visits counter
-// (nil to skip) instead of mutating shared state: each node visited adds
-// one — the R-tree's page-access proxy (one node ≈ one page) — charged to
-// the per-query account of whoever issued the search.
+// RTree is a static R-tree over 2-D points, built once by Bulk (or restored
+// by FromFlat) and immutable afterwards, so concurrent searches are safe.
+// Queries take a visits counter (nil to skip) instead of mutating shared
+// state: each node visited adds one — the R-tree's page-access proxy (one
+// node ≈ one page) — charged to the per-query account of whoever issued the
+// search.
 //
-// At query time the tree is four flat arrays indexed by node number plus
-// one packed item slab (an index-linked structure-of-arrays layout): node
-// i's MBR is mbr[i], and start[i]/count[i] delimit either its child-node
-// index range (internal) or its item range in the items slab (leaf). Node 0
-// is the root; a node's children occupy consecutive indices. The layout is
-// pointer-free, so it serialises verbatim into snapshots (see Flat) and is
-// mmap-ready.
+// The tree is its Flat form: four arrays indexed by node number plus one
+// packed item slab (an index-linked structure-of-arrays layout). Node i's
+// MBR is MBR[i], and Start[i]/Count[i] delimit either its child-node index
+// range (internal) or its item range in the item slab (leaf). Node 0 is the
+// root; a node's children occupy consecutive indices. The layout is
+// pointer-free, so it serialises verbatim into snapshots and is mmap-ready.
 type RTree struct {
-	root *node // build-time form; nil for snapshot-loaded trees until mutated
-	size int
-
-	// Flat query-time form (always valid).
-	leaf  []bool
-	mbr   []geom.MBR
-	start []int32
-	count []int32
-	items []Item
+	flat Flat
 }
 
 // visit charges one node visit to the per-query counter, if any. The
@@ -70,283 +47,141 @@ func visit(visits *int64) {
 	}
 }
 
-// New returns an empty tree.
-func New() *RTree {
-	t := &RTree{root: &node{leaf: true, mbr: geom.EmptyMBR()}}
-	t.flatten()
-	return t
+// packNode is one node of the level being packed: its MBR and the range of
+// its entries — items of the STR-sorted slab for a leaf, nodes of the level
+// below otherwise.
+type packNode struct {
+	mbr   geom.MBR
+	lo, n int32
 }
 
 // Bulk builds a tree from items using STR (sort-tile-recursive) packing,
-// which yields well-clustered leaves for static object sets.
+// which yields well-clustered leaves for static object sets. Levels are
+// packed bottom-up and then numbered breadth-first, so every node's children
+// occupy a consecutive index range and leaves' items tile the slab in node
+// order. The node order — and therefore snapshots, visit counts and page
+// goldens — depends on the exact sort.Slice call sequence below (sort.Slice
+// is not stable, so ties are ordered by the call history): the layout is
+// pinned by TestBulkLayoutPinned.
 func Bulk(items []Item) *RTree {
-	t := New()
 	if len(items) == 0 {
-		return t
+		return &RTree{flat: Flat{
+			Leaf:  []bool{true},
+			MBR:   []geom.MBR{geom.EmptyMBR()},
+			Start: []int32{0},
+			Count: []int32{0},
+		}}
 	}
-	t.root = bulkRoot(items)
-	t.size = len(items)
-	t.flatten()
-	return t
+	its := append([]Item(nil), items...)
+	levels := [][]packNode{strPackItems(its)}
+	for top := levels[0]; len(top) > 1; top = levels[len(levels)-1] {
+		levels = append(levels, strPackNodes(top))
+	}
+	return &RTree{flat: layout(levels, its)}
 }
 
-func bulkRoot(items []Item) *node {
-	leaves := strPack(items)
-	for {
-		if len(leaves) == 1 {
-			return leaves[0]
-		}
-		leaves = strPackNodes(leaves)
-	}
-}
-
-func strPack(items []Item) []*node {
-	its := make([]Item, len(items))
-	copy(its, items)
+// strPackItems sorts its into STR order in place — by X, then each vertical
+// slice by Y — and cuts it into leaves of up to maxEntries items.
+func strPackItems(its []Item) []packNode {
 	sort.Slice(its, func(i, j int) bool { return its[i].P.X < its[j].P.X })
-	nLeaves := (len(its) + maxEntries - 1) / maxEntries
-	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	sliceSize := nSlices * maxEntries
-	var leaves []*node
-	for s := 0; s < len(its); s += sliceSize {
-		e := s + sliceSize
-		if e > len(its) {
-			e = len(its)
-		}
+	var leaves []packNode
+	forEachSTRSlice(len(its), func(s, e int) {
 		slice := its[s:e]
 		sort.Slice(slice, func(i, j int) bool { return slice[i].P.Y < slice[j].P.Y })
-		for o := 0; o < len(slice); o += maxEntries {
-			oe := o + maxEntries
-			if oe > len(slice) {
-				oe = len(slice)
+		for o := s; o < e; o += maxEntries {
+			oe := min(o+maxEntries, e)
+			leaf := packNode{mbr: geom.EmptyMBR(), lo: int32(o), n: int32(oe - o)}
+			for _, it := range its[o:oe] {
+				leaf.mbr = leaf.mbr.ExtendPoint(it.P)
 			}
-			n := &node{leaf: true, mbr: geom.EmptyMBR()}
-			n.items = append(n.items, slice[o:oe]...)
-			for _, it := range n.items {
-				n.mbr = n.mbr.ExtendPoint(it.P)
-			}
-			leaves = append(leaves, n)
+			leaves = append(leaves, leaf)
 		}
-	}
+	})
 	return leaves
 }
 
-func strPackNodes(ns []*node) []*node {
+// strPackNodes sorts one level into STR order by MBR centre in place and
+// groups it into parents of up to maxEntries children.
+func strPackNodes(ns []packNode) []packNode {
 	sort.Slice(ns, func(i, j int) bool { return ns[i].mbr.Center().X < ns[j].mbr.Center().X })
-	nParents := (len(ns) + maxEntries - 1) / maxEntries
-	nSlices := int(math.Ceil(math.Sqrt(float64(nParents))))
-	sliceSize := nSlices * maxEntries
-	var parents []*node
-	for s := 0; s < len(ns); s += sliceSize {
-		e := s + sliceSize
-		if e > len(ns) {
-			e = len(ns)
-		}
-		slice := append([]*node(nil), ns[s:e]...)
+	var parents []packNode
+	forEachSTRSlice(len(ns), func(s, e int) {
+		slice := ns[s:e]
 		sort.Slice(slice, func(i, j int) bool { return slice[i].mbr.Center().Y < slice[j].mbr.Center().Y })
-		for o := 0; o < len(slice); o += maxEntries {
-			oe := o + maxEntries
-			if oe > len(slice) {
-				oe = len(slice)
-			}
-			p := &node{mbr: geom.EmptyMBR()}
-			p.children = append(p.children, slice[o:oe]...)
-			for _, c := range p.children {
+		for o := s; o < e; o += maxEntries {
+			oe := min(o+maxEntries, e)
+			p := packNode{mbr: geom.EmptyMBR(), lo: int32(o), n: int32(oe - o)}
+			for _, c := range ns[o:oe] {
 				p.mbr = p.mbr.Union(c.mbr)
 			}
 			parents = append(parents, p)
 		}
-	}
+	})
 	return parents
 }
 
+// forEachSTRSlice calls fn on the [s,e) bounds of the vertical slices STR
+// cuts n entries into: ⌈√(number of groups)⌉ slices of whole groups.
+func forEachSTRSlice(n int, fn func(s, e int)) {
+	groups := (n + maxEntries - 1) / maxEntries
+	sliceSize := int(math.Ceil(math.Sqrt(float64(groups)))) * maxEntries
+	for s := 0; s < n; s += sliceSize {
+		fn(s, min(s+sliceSize, n))
+	}
+}
+
+// layout numbers the packed levels breadth-first from the single top node
+// and writes them into the flat arrays, copying each leaf's items into the
+// slab as the leaf is numbered.
+func layout(levels [][]packNode, its []Item) Flat {
+	nodes := 0
+	for _, lvl := range levels {
+		nodes += len(lvl)
+	}
+	f := Flat{
+		Leaf:  make([]bool, 0, nodes),
+		MBR:   make([]geom.MBR, 0, nodes),
+		Start: make([]int32, 0, nodes),
+		Count: make([]int32, 0, nodes),
+		Items: make([]Item, 0, len(its)),
+	}
+	order := []int32{0} // this level's nodes in breadth-first order
+	for d := len(levels) - 1; d >= 0; d-- {
+		childBase := int32(len(f.Leaf) + len(order))
+		var below []int32
+		for _, i := range order {
+			p := levels[d][i]
+			start := int32(len(f.Items))
+			if d == 0 {
+				f.Items = append(f.Items, its[p.lo:p.lo+p.n]...)
+			} else {
+				start = childBase + int32(len(below))
+				for c := p.lo; c < p.lo+p.n; c++ {
+					below = append(below, c)
+				}
+			}
+			f.Leaf = append(f.Leaf, d == 0)
+			f.MBR = append(f.MBR, p.mbr)
+			f.Start = append(f.Start, start)
+			f.Count = append(f.Count, p.n)
+		}
+		order = below
+	}
+	return f
+}
+
 // Len returns the number of indexed items.
-func (t *RTree) Len() int { return t.size }
-
-// Insert adds an item. Insert is a build-time operation: it updates the
-// pointer tree and re-packs the flat arrays, so inserting n items one by
-// one costs O(n) packing work per insert — batch loads should use Bulk.
-func (t *RTree) Insert(it Item) {
-	if t.root == nil {
-		// Snapshot-loaded trees carry only the flat form; rebuild a pointer
-		// tree from the item slab before the first mutation.
-		t.root = bulkRoot(t.items)
-	}
-	t.size++
-	split := t.insert(t.root, it)
-	if split != nil {
-		newRoot := &node{mbr: t.root.mbr.Union(split.mbr)}
-		newRoot.children = []*node{t.root, split}
-		t.root = newRoot
-	}
-	t.flatten()
-}
-
-func (t *RTree) insert(n *node, it Item) *node {
-	n.mbr = n.mbr.ExtendPoint(it.P)
-	if n.leaf {
-		n.items = append(n.items, it)
-		if len(n.items) > maxEntries {
-			return splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseSubtree(n, it.P)
-	split := t.insert(best, it)
-	if split == nil {
-		return nil
-	}
-	n.children = append(n.children, split)
-	if len(n.children) > maxEntries {
-		return splitInternal(n)
-	}
-	return nil
-}
-
-func chooseSubtree(n *node, p geom.Vec2) *node {
-	var best *node
-	bestGrow := math.Inf(1)
-	bestArea := math.Inf(1)
-	for _, c := range n.children {
-		grown := c.mbr.ExtendPoint(p)
-		grow := grown.Area() - c.mbr.Area()
-		//lint:ignore float-eq exact tie-break between identical growth values keeps subtree choice deterministic; an epsilon would blur distinct areas
-		if grow < bestGrow || (grow == bestGrow && c.mbr.Area() < bestArea) {
-			best, bestGrow, bestArea = c, grow, c.mbr.Area()
-		}
-	}
-	return best
-}
-
-func splitLeaf(n *node) *node {
-	// Split along the axis with the greater spread, at the median.
-	its := n.items
-	if n.mbr.Width() >= n.mbr.Height() {
-		sort.Slice(its, func(i, j int) bool { return its[i].P.X < its[j].P.X })
-	} else {
-		sort.Slice(its, func(i, j int) bool { return its[i].P.Y < its[j].P.Y })
-	}
-	mid := len(its) / 2
-	right := &node{leaf: true, mbr: geom.EmptyMBR()}
-	right.items = append(right.items, its[mid:]...)
-	n.items = its[:mid]
-	n.mbr = geom.EmptyMBR()
-	for _, it := range n.items {
-		n.mbr = n.mbr.ExtendPoint(it.P)
-	}
-	for _, it := range right.items {
-		right.mbr = right.mbr.ExtendPoint(it.P)
-	}
-	return right
-}
-
-func splitInternal(n *node) *node {
-	ch := n.children
-	if n.mbr.Width() >= n.mbr.Height() {
-		sort.Slice(ch, func(i, j int) bool { return ch[i].mbr.Center().X < ch[j].mbr.Center().X })
-	} else {
-		sort.Slice(ch, func(i, j int) bool { return ch[i].mbr.Center().Y < ch[j].mbr.Center().Y })
-	}
-	mid := len(ch) / 2
-	right := &node{mbr: geom.EmptyMBR()}
-	right.children = append(right.children, ch[mid:]...)
-	n.children = ch[:mid]
-	n.mbr = geom.EmptyMBR()
-	for _, c := range n.children {
-		n.mbr = n.mbr.Union(c.mbr)
-	}
-	for _, c := range right.children {
-		right.mbr = right.mbr.Union(c.mbr)
-	}
-	return right
-}
-
-// flatten re-packs the pointer tree into the flat SoA arrays, assigning
-// node numbers in breadth-first order so every node's children occupy a
-// consecutive index range. Per-node child and item order is preserved
-// verbatim, so traversals behave identically on either form.
-func (t *RTree) flatten() {
-	t.leaf, t.mbr = t.leaf[:0], t.mbr[:0]
-	t.start, t.count = t.start[:0], t.count[:0]
-	t.items = t.items[:0]
-	queue := []*node{t.root}
-	t.leaf = append(t.leaf, t.root.leaf)
-	t.mbr = append(t.mbr, t.root.mbr)
-	t.start = append(t.start, 0)
-	t.count = append(t.count, 0)
-	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		if n.leaf {
-			t.start[head] = int32(len(t.items))
-			t.count[head] = int32(len(n.items))
-			t.items = append(t.items, n.items...)
-			continue
-		}
-		t.start[head] = int32(len(queue))
-		t.count[head] = int32(len(n.children))
-		for _, c := range n.children {
-			queue = append(queue, c)
-			t.leaf = append(t.leaf, c.leaf)
-			t.mbr = append(t.mbr, c.mbr)
-			t.start = append(t.start, 0)
-			t.count = append(t.count, 0)
-		}
-	}
-}
+func (t *RTree) Len() int { return len(t.flat.Items) }
 
 // pushItem is the single append site the query paths grow their result
 // slices through; warm callers pass buffers at their high-water capacity,
 // so the append is a plain length bump.
 func pushItem(dst []Item, it Item) []Item { return append(dst, it) }
 
-// Range returns all items inside region (inclusive of the boundary),
-// charging node visits to visits (nil to skip counting).
-func (t *RTree) Range(region geom.MBR, visits *int64) []Item {
-	out := t.RangeInto(region, visits, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// RangeInto is Range appending into dst (pass a reused buffer to avoid
-// allocation; the result may share dst's backing array).
-//
-//sklint:hotpath
-func (t *RTree) RangeInto(region geom.MBR, visits *int64, dst []Item) []Item {
-	return t.rangeScan(0, region, visits, dst)
-}
-
-func (t *RTree) rangeScan(ni int32, region geom.MBR, visits *int64, dst []Item) []Item {
-	visit(visits)
-	lo, n := t.start[ni], t.count[ni]
-	if t.leaf[ni] {
-		for _, it := range t.items[lo : lo+n] {
-			if region.Contains(it.P) {
-				dst = pushItem(dst, it)
-			}
-		}
-		return dst
-	}
-	for c := lo; c < lo+n; c++ {
-		if t.mbr[c].Intersects(region) {
-			dst = t.rangeScan(c, region, visits, dst)
-		}
-	}
-	return dst
-}
-
-// WithinDist returns the items within Euclidean distance r of center — the
-// circular range query of MR3's step 3 — charging node visits to visits.
-func (t *RTree) WithinDist(center geom.Vec2, r float64, visits *int64) []Item {
-	out := t.WithinDistInto(center, r, visits, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// WithinDistInto is WithinDist appending into dst.
+// WithinDistInto appends the items within Euclidean distance r of center —
+// the circular range query of MR3's step 3 — to dst in traversal order,
+// charging node visits to visits. With dst at its high-water capacity the
+// search performs no allocation.
 //
 //sklint:hotpath
 func (t *RTree) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []Item) []Item {
@@ -355,9 +190,10 @@ func (t *RTree) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst [
 
 func (t *RTree) within(ni int32, center geom.Vec2, r float64, visits *int64, dst []Item) []Item {
 	visit(visits)
-	lo, n := t.start[ni], t.count[ni]
-	if t.leaf[ni] {
-		for _, it := range t.items[lo : lo+n] {
+	f := &t.flat
+	lo, n := f.Start[ni], f.Count[ni]
+	if f.Leaf[ni] {
+		for _, it := range f.Items[lo : lo+n] {
 			if it.P.Dist(center) <= r {
 				dst = pushItem(dst, it)
 			}
@@ -365,59 +201,18 @@ func (t *RTree) within(ni int32, center geom.Vec2, r float64, visits *int64, dst
 		return dst
 	}
 	for c := lo; c < lo+n; c++ {
-		if t.mbr[c].DistToPoint(center) <= r {
+		if f.MBR[c].DistToPoint(center) <= r {
 			dst = t.within(c, center, r, visits, dst)
 		}
 	}
 	return dst
 }
 
-// Validate checks R-tree invariants (MBR containment, entry counts) on the
-// query-time flat form (and therefore on whatever built it).
-func (t *RTree) Validate() error {
-	return t.validateFlat(0, true)
-}
-
-func (t *RTree) validateFlat(ni int32, isRoot bool) error {
-	lo, n := t.start[ni], t.count[ni]
-	if t.leaf[ni] {
-		if !isRoot && (n < 1 || n > maxEntries) {
-			return errCount(n)
-		}
-		for _, it := range t.items[lo : lo+n] {
-			if !t.mbr[ni].Contains(it.P) {
-				return errMBR{}
-			}
-		}
-		return nil
-	}
-	if !isRoot && (n < 1 || n > maxEntries) {
-		return errCount(n)
-	}
-	for c := lo; c < lo+n; c++ {
-		if !t.mbr[ni].ContainsMBR(t.mbr[c]) {
-			return errMBR{}
-		}
-		if err := t.validateFlat(c, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type errCount int32
-
-func (e errCount) Error() string { return "index: node entry count out of bounds" }
-
-type errMBR struct{}
-
-func (errMBR) Error() string { return "index: node MBR does not cover contents" }
-
 // SortByDist orders items canonically: ascending squared planar distance to
 // q, item id as the tiebreak. The order is a pure function of the item set —
-// independent of tree shape, insertion history, or how the set was gathered —
-// which is what makes a scatter-gather coordinator's merged candidate list
-// reproduce a single tree's enumeration bit for bit (see internal/shard).
+// independent of tree shape or how the set was gathered — which is what
+// makes a scatter-gather coordinator's merged candidate list reproduce a
+// single tree's enumeration bit for bit (see internal/shard).
 // In-place shell sort: no allocation, so it is safe on the query hot path.
 func SortByDist(items []Item, q geom.Vec2) {
 	d2 := func(it Item) float64 {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -29,18 +30,42 @@ func bruteKNN(items []Item, q geom.Vec2, k int) []Item {
 	return s[:k]
 }
 
-func TestInsertAndValidate(t *testing.T) {
-	tr := New()
-	items := randomItems(500, 1)
-	for _, it := range items {
-		tr.Insert(it)
+// knn runs a cold KNNInto with no skip set.
+func knn(tr *RTree, q geom.Vec2, k int, visits *int64) []Item {
+	var sc Scratch
+	return tr.KNNInto(q, k, visits, nil, &sc, nil)
+}
+
+// everything is a radius covering every randomItems point from anywhere in
+// their square, so a WithinDistInto with it is a full scan.
+const everything = 2000
+
+// validate checks the R-tree invariants on the flat form: MBR containment
+// and, below the root, entry counts within [1, maxEntries].
+func validate(t *RTree) error { return validateNode(&t.flat, 0, true) }
+
+func validateNode(f *Flat, ni int32, isRoot bool) error {
+	lo, n := f.Start[ni], f.Count[ni]
+	if !isRoot && (n < 1 || n > maxEntries) {
+		return fmt.Errorf("node %d holds %d entries", ni, n)
 	}
-	if tr.Len() != 500 {
-		t.Errorf("Len = %d", tr.Len())
+	if f.Leaf[ni] {
+		for _, it := range f.Items[lo : lo+n] {
+			if !f.MBR[ni].Contains(it.P) {
+				return fmt.Errorf("leaf %d MBR misses item %d", ni, it.ID)
+			}
+		}
+		return nil
 	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
+	for c := lo; c < lo+n; c++ {
+		if !f.MBR[ni].ContainsMBR(f.MBR[c]) {
+			return fmt.Errorf("node %d MBR misses child %d", ni, c)
+		}
+		if err := validateNode(f, c, false); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 func TestBulkLoad(t *testing.T) {
@@ -49,11 +74,11 @@ func TestBulkLoad(t *testing.T) {
 	if tr.Len() != 2000 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := validate(tr); err != nil {
 		t.Fatal(err)
 	}
-	// All items findable by range over the whole area.
-	all := tr.Range(geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, nil)
+	// All items findable by a range covering the whole area.
+	all := tr.WithinDistInto(geom.Vec2{}, everything, nil, nil)
 	if len(all) != 2000 {
 		t.Errorf("full range = %d items", len(all))
 	}
@@ -65,79 +90,45 @@ func TestBulkLoad(t *testing.T) {
 
 func TestKNNAgainstBruteForce(t *testing.T) {
 	items := randomItems(1000, 3)
-	for _, build := range []func() *RTree{
-		func() *RTree { return Bulk(items) },
-		func() *RTree {
-			tr := New()
-			for _, it := range items {
-				tr.Insert(it)
+	tr := Bulk(items)
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 20; trial++ {
+		q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		k := 1 + rng.Intn(20)
+		got := knn(tr, q, k, nil)
+		want := bruteKNN(items, q, k)
+		if len(got) != len(want) {
+			t.Fatalf("KNN returned %d items, want %d", len(got), len(want))
+		}
+		for i := range got {
+			// Compare distances (ties may permute IDs).
+			if gd, wd := got[i].P.Dist(q), want[i].P.Dist(q); gd != wd {
+				t.Fatalf("k=%d item %d: dist %v, want %v", k, i, gd, wd)
 			}
-			return tr
-		},
-	} {
-		tr := build()
-		rng := rand.New(rand.NewSource(4))
-		for trial := 0; trial < 20; trial++ {
-			q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-			k := 1 + rng.Intn(20)
-			got := tr.KNN(q, k, nil)
-			want := bruteKNN(items, q, k)
-			if len(got) != len(want) {
-				t.Fatalf("KNN returned %d items, want %d", len(got), len(want))
-			}
-			for i := range got {
-				// Compare distances (ties may permute IDs).
-				if gd, wd := got[i].P.Dist(q), want[i].P.Dist(q); gd != wd {
-					t.Fatalf("k=%d item %d: dist %v, want %v", k, i, gd, wd)
-				}
-			}
-			// Ascending order.
-			for i := 1; i < len(got); i++ {
-				if got[i-1].P.Dist2(q) > got[i].P.Dist2(q) {
-					t.Fatal("KNN results not sorted")
-				}
+		}
+		// Ascending order.
+		for i := 1; i < len(got); i++ {
+			if got[i-1].P.Dist2(q) > got[i].P.Dist2(q) {
+				t.Fatal("KNN results not sorted")
 			}
 		}
 	}
 }
 
 func TestKNNEdgeCases(t *testing.T) {
-	tr := New()
-	if got := tr.KNN(geom.Vec2{}, 5, nil); got != nil {
+	if got := knn(Bulk(nil), geom.Vec2{}, 5, nil); got != nil {
 		t.Errorf("empty tree KNN = %v", got)
 	}
-	tr.Insert(Item{P: geom.Vec2{X: 1, Y: 1}, ID: 7})
-	got := tr.KNN(geom.Vec2{}, 5, nil)
+	if got := Bulk(nil).WithinDistInto(geom.Vec2{}, everything, nil, nil); got != nil {
+		t.Errorf("empty tree range = %v", got)
+	}
+	tr := Bulk([]Item{{P: geom.Vec2{X: 1, Y: 1}, ID: 7}})
+	got := knn(tr, geom.Vec2{}, 5, nil)
 	if len(got) != 1 || got[0].ID != 7 {
 		t.Errorf("KNN on single-item tree = %v", got)
 	}
-	if got := tr.KNN(geom.Vec2{}, 0, nil); got != nil {
+	if got := knn(tr, geom.Vec2{}, 0, nil); got != nil {
 		t.Errorf("k=0 should return nil, got %v", got)
-	}
-}
-
-func TestRangeAgainstBruteForce(t *testing.T) {
-	items := randomItems(800, 5)
-	tr := Bulk(items)
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		x, y := rng.Float64()*900, rng.Float64()*900
-		region := geom.MBR{MinX: x, MinY: y, MaxX: x + 100, MaxY: y + 100}
-		got := tr.Range(region, nil)
-		want := 0
-		for _, it := range items {
-			if region.Contains(it.P) {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("Range = %d items, want %d", len(got), want)
-		}
-		for _, it := range got {
-			if !region.Contains(it.P) {
-				t.Fatalf("item %v outside region", it)
-			}
-		}
 	}
 }
 
@@ -148,7 +139,7 @@ func TestWithinDist(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		c := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		r := rng.Float64() * 200
-		got := tr.WithinDist(c, r, nil)
+		got := tr.WithinDistInto(c, r, nil, nil)
 		want := 0
 		for _, it := range items {
 			if it.P.Dist(c) <= r {
@@ -158,6 +149,11 @@ func TestWithinDist(t *testing.T) {
 		if len(got) != want {
 			t.Fatalf("WithinDist = %d, want %d", len(got), want)
 		}
+		for _, it := range got {
+			if it.P.Dist(c) > r {
+				t.Fatalf("item %v outside radius %v", it, r)
+			}
+		}
 	}
 }
 
@@ -165,97 +161,71 @@ func TestAccessCounting(t *testing.T) {
 	items := randomItems(5000, 9)
 	tr := Bulk(items)
 	var knnAccesses int64
-	tr.KNN(geom.Vec2{X: 500, Y: 500}, 10, &knnAccesses)
+	knn(tr, geom.Vec2{X: 500, Y: 500}, 10, &knnAccesses)
 	if knnAccesses == 0 {
 		t.Fatal("KNN accesses not counted")
 	}
 	// A k-NN for small k should touch far fewer nodes than a full scan.
 	var fullScan int64
-	tr.Range(geom.MBR{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}, &fullScan)
+	tr.WithinDistInto(geom.Vec2{}, everything, &fullScan, nil)
 	if knnAccesses*5 > fullScan {
 		t.Errorf("KNN touched %d nodes vs full scan %d; expected strong pruning", knnAccesses, fullScan)
 	}
 }
 
 func TestDuplicatePositions(t *testing.T) {
-	tr := New()
+	var items []Item
 	for i := 0; i < 100; i++ {
-		tr.Insert(Item{P: geom.Vec2{X: 5, Y: 5}, ID: int64(i)})
+		items = append(items, Item{P: geom.Vec2{X: 5, Y: 5}, ID: int64(i)})
 	}
-	if err := tr.Validate(); err != nil {
+	tr := Bulk(items)
+	if err := validate(tr); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.KNN(geom.Vec2{X: 5, Y: 5}, 100, nil)
+	got := knn(tr, geom.Vec2{X: 5, Y: 5}, 100, nil)
 	if len(got) != 100 {
 		t.Errorf("KNN over duplicates = %d", len(got))
 	}
 }
 
-func TestNearestIter(t *testing.T) {
-	items := randomItems(500, 11)
-	tr := Bulk(items)
-	q := geom.Vec2{X: 333, Y: 444}
-	next := tr.NearestIter(q, nil)
-	brute := bruteKNN(items, q, len(items))
-	for i := 0; i < len(items); i++ {
-		it, d, ok := next()
-		if !ok {
-			t.Fatalf("iterator exhausted at %d of %d", i, len(items))
-		}
-		if want := brute[i].P.Dist(q); d != want {
-			t.Fatalf("item %d: dist %v, want %v", i, d, want)
-		}
-		if got := it.P.Dist(q); got != d {
-			t.Fatalf("item %d: reported dist %v != actual %v", i, d, got)
-		}
-	}
-	if _, _, ok := next(); ok {
-		t.Error("iterator should be exhausted")
-	}
-	// Empty tree yields nothing.
-	if _, _, ok := New().NearestIter(q, nil)(); ok {
-		t.Error("empty tree iterator should yield nothing")
-	}
-}
-
-func TestKNNFunc(t *testing.T) {
+func TestKNNIntoSkip(t *testing.T) {
 	items := randomItems(800, 11)
 	tr := Bulk(items)
+	odd := make(map[int64]struct{})
+	for _, it := range items {
+		if it.ID%2 == 1 {
+			odd[it.ID] = struct{}{}
+		}
+	}
+	var evenItems []Item
+	for _, it := range items {
+		if it.ID%2 == 0 {
+			evenItems = append(evenItems, it)
+		}
+	}
 	rng := rand.New(rand.NewSource(12))
+	var sc Scratch
 	for trial := 0; trial < 20; trial++ {
 		q := geom.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		k := 1 + rng.Intn(15)
 
-		// keep == nil must be byte-for-byte KNN, including visit counts.
-		var vPlain, vNil int64
-		plain := tr.KNN(q, k, &vPlain)
-		asFunc := tr.KNNFunc(q, k, &vNil, nil)
-		if vPlain != vNil || len(plain) != len(asFunc) {
-			t.Fatalf("nil keep diverged: visits %d vs %d, len %d vs %d",
-				vPlain, vNil, len(plain), len(asFunc))
+		// An empty skip set must be byte-for-byte the nil one, visit
+		// counts included.
+		var vNil, vEmpty int64
+		plain := tr.KNNInto(q, k, &vNil, nil, &sc, nil)
+		empty := tr.KNNInto(q, k, &vEmpty, map[int64]struct{}{}, &sc, nil)
+		if vNil != vEmpty || len(plain) != len(empty) {
+			t.Fatalf("empty skip diverged: visits %d vs %d, len %d vs %d",
+				vNil, vEmpty, len(plain), len(empty))
 		}
 		for i := range plain {
-			if plain[i] != asFunc[i] {
-				t.Fatalf("nil keep item %d: %+v vs %+v", i, plain[i], asFunc[i])
+			if plain[i] != empty[i] {
+				t.Fatalf("empty skip item %d: %+v vs %+v", i, plain[i], empty[i])
 			}
 		}
 
-		// An all-true keep must not change visit counts either.
-		var vTrue int64
-		tr.KNNFunc(q, k, &vTrue, func(Item) bool { return true })
-		if vTrue != vPlain {
-			t.Fatalf("all-true keep changed visits: %d vs %d", vTrue, vPlain)
-		}
-
-		// Filtering odd IDs yields the k nearest even-ID items, full k.
-		even := func(it Item) bool { return it.ID%2 == 0 }
-		got := tr.KNNFunc(q, k, nil, even)
-		var evenItems []Item
-		for _, it := range items {
-			if even(it) {
-				evenItems = append(evenItems, it)
-			}
-		}
+		// Skipping odd IDs yields the k nearest even-ID items, full k.
+		got := tr.KNNInto(q, k, nil, odd, &sc, nil)
 		want := bruteKNN(evenItems, q, k)
 		if len(got) != len(want) {
 			t.Fatalf("filtered KNN returned %d items, want %d", len(got), len(want))

@@ -16,11 +16,12 @@
 // mutex, held only for pointer-sized critical sections. Writers never wait
 // for readers; readers never block each other.
 //
-// A quiesced epoch (empty delta, no tombstones) answers KNN/WithinDist by
-// delegating directly to the base R-tree, which makes a store with zero
-// pending updates bit-identical — results, node-visit counts and therefore
-// Cost.Pages() — to the static SetObjects path this package replaced
-// (pinned by the golden test in internal/core).
+// A quiesced epoch (empty delta, no tombstones) answers KNNInto and
+// WithinDistInto by delegating directly to the base R-tree, which makes a
+// store with zero pending updates bit-identical — results, node-visit
+// counts and therefore Cost.Pages() — to the static SetObjects path this
+// package replaced (pinned by the golden test in internal/core). Both
+// searches run on caller-owned buffers whether or not a delta is pending.
 package objstore
 
 import (
@@ -129,65 +130,47 @@ func (e *Epoch) Table() []workload.Object {
 	return e.table
 }
 
-// KNN returns the k live objects nearest to q in ascending 2-D distance
-// order, charging R-tree node visits to visits. A quiesced epoch delegates
-// to the base tree unchanged; otherwise the base search skips tombstoned
-// items at discovery time (so it still yields k live base candidates) and
-// merges with the delta overlay by distance.
-func (e *Epoch) KNN(q geom.Vec2, k int, visits *int64) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.KNN(q, k, visits)
-	}
-	fromBase := e.base.tree.KNNFunc(q, k, visits, func(it index.Item) bool {
-		_, gone := e.dead[it.ID]
-		return !gone
-	})
-	if e.overlay == nil {
-		return fromBase
-	}
-	fromDelta := e.overlay.KNN(q, k, visits)
-	return mergeByDist(q, fromBase, fromDelta, k)
-}
-
-// KNNInto is KNN running on caller-owned scratch and appending into dst —
-// the warm-query form. A quiesced epoch runs entirely on the reusable
-// buffers, so a store with no pending updates answers without allocating;
-// an epoch carrying a delta falls back to the merging path (updates are
-// rare relative to queries, and the next compaction restores the
-// allocation-free route).
+// KNNInto appends the k live objects nearest to q to dst in ascending 2-D
+// distance order, charging R-tree node visits to visits. It runs entirely
+// on the caller's scratch and dst, so once they reach their high-water
+// capacity a search allocates nothing, quiesced or not. A quiesced epoch
+// delegates to the base tree unchanged. Otherwise the base search skips
+// tombstoned items at discovery (so it still yields k live base
+// candidates), the overlay search writes into sc.Items, and the two
+// distance-sorted lists merge into dst with base entries winning exact ties.
 func (e *Epoch) KNNInto(q geom.Vec2, k int, visits *int64, sc *index.Scratch, dst []index.Item) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.KNNInto(q, k, visits, nil, sc, dst)
+	n0 := len(dst)
+	dst = e.base.tree.KNNInto(q, k, visits, e.dead, sc, dst)
+	if e.overlay == nil {
+		return dst
 	}
-	return append(dst, e.KNN(q, k, visits)...)
+	buf := e.overlay.KNNInto(q, k, visits, nil, sc, sc.Items[:0])
+	nDelta := len(buf)
+	buf = append(buf, dst[n0:]...)
+	sc.Items = buf[:0]
+	return mergeByDist(q, buf[nDelta:], buf[:nDelta], k, dst[:n0])
 }
 
-// WithinDist returns the live objects within Euclidean distance r of
-// center, charging node visits to visits.
-func (e *Epoch) WithinDist(center geom.Vec2, r float64, visits *int64) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.WithinDist(center, r, visits)
-	}
-	raw := e.base.tree.WithinDist(center, r, visits)
-	out := raw[:0:0]
-	for _, it := range raw {
-		if _, gone := e.dead[it.ID]; !gone {
-			out = append(out, it)
+// WithinDistInto appends the live objects within Euclidean distance r of
+// center to dst — base survivors in traversal order, then the overlay's —
+// charging node visits to visits. Tombstoned base items are compacted out
+// in place, so a warm dst makes the search allocation-free.
+func (e *Epoch) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []index.Item) []index.Item {
+	n0 := len(dst)
+	dst = e.base.tree.WithinDistInto(center, r, visits, dst)
+	if len(e.dead) > 0 {
+		live := dst[:n0]
+		for _, it := range dst[n0:] {
+			if _, gone := e.dead[it.ID]; !gone {
+				live = append(live, it)
+			}
 		}
+		dst = live
 	}
 	if e.overlay != nil {
-		out = append(out, e.overlay.WithinDist(center, r, visits)...)
+		dst = e.overlay.WithinDistInto(center, r, visits, dst)
 	}
-	return out
-}
-
-// WithinDistInto is WithinDist appending into dst — the warm-query
-// counterpart of KNNInto, with the same quiesced fast path.
-func (e *Epoch) WithinDistInto(center geom.Vec2, r float64, visits *int64, dst []index.Item) []index.Item {
-	if e.quiesced() {
-		return e.base.tree.WithinDistInto(center, r, visits, dst)
-	}
-	return append(dst, e.WithinDist(center, r, visits)...)
+	return dst
 }
 
 // IndexFlat returns the flat R-tree buffers over exactly this epoch's live
@@ -206,12 +189,12 @@ func (e *Epoch) IndexFlat() index.Flat {
 	return index.Bulk(items).Flatten()
 }
 
-// mergeByDist merges two distance-sorted item lists into the first k by
-// distance to q, preferring the base list on exact ties (deterministic).
-func mergeByDist(q geom.Vec2, a, b []index.Item, k int) []index.Item {
-	out := make([]index.Item, 0, k)
+// mergeByDist appends the first k of two distance-sorted item lists to out,
+// by distance to q, preferring the base list a on exact ties
+// (deterministic).
+func mergeByDist(q geom.Vec2, a, b []index.Item, k int, out []index.Item) []index.Item {
 	i, j := 0, 0
-	for len(out) < k && (i < len(a) || j < len(b)) {
+	for i+j < k && (i < len(a) || j < len(b)) {
 		switch {
 		case j >= len(b):
 			out = append(out, a[i])

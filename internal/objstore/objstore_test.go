@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"surfknn/internal/geom"
+	"surfknn/internal/index"
 	"surfknn/internal/mesh"
 	"surfknn/internal/obs"
 	"surfknn/internal/workload"
@@ -208,11 +209,15 @@ func TestCompactionPreservesContents(t *testing.T) {
 	}
 }
 
-// TestKNNMatchesBruteForce cross-checks the merged (base+delta) KNN and
-// WithinDist against linear scans over the table, across compaction states.
+// TestKNNMatchesBruteForce cross-checks the merged (base+delta) KNNInto and
+// WithinDistInto against linear scans over the table, across compaction
+// states. Both append after a sentinel prefix on one reused scratch, so the
+// check also covers that they leave the caller's prefix alone.
 func TestKNNMatchesBruteForce(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(99))
+	var sc index.Scratch
+	sentinel := index.Item{ID: -1}
 	s := NewAt(grid(30), 0)
 	s.SetCompactThreshold(8)
 	for step := 0; step < 50; step++ {
@@ -227,7 +232,11 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			table := e.Table()
 
 			k := 1 + rng.Intn(5)
-			got := e.KNN(q, k, nil)
+			got := e.KNNInto(q, k, nil, &sc, []index.Item{sentinel})
+			if got[0] != sentinel {
+				t.Fatalf("step %d: KNNInto overwrote the dst prefix", step)
+			}
+			got = got[1:]
 			wantDists := make([]float64, 0, len(table))
 			for _, o := range table {
 				wantDists = append(wantDists, o.Point.XY().Dist(q))
@@ -252,7 +261,11 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 					inRange[o.ID] = true
 				}
 			}
-			gotRange := e.WithinDist(q, r, nil)
+			gotRange := e.WithinDistInto(q, r, nil, []index.Item{sentinel})
+			if gotRange[0] != sentinel {
+				t.Fatalf("step %d: WithinDistInto overwrote the dst prefix", step)
+			}
+			gotRange = gotRange[1:]
 			if len(gotRange) != len(inRange) {
 				t.Fatalf("step %d: WithinDist returned %d items, want %d", step, len(gotRange), len(inRange))
 			}
@@ -263,6 +276,36 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 			}
 			e.Release()
 		}
+	}
+}
+
+// TestUpdatedEpochSearchesDoNotAllocate pins the warm non-quiesced path:
+// on an epoch carrying both a delta overlay and base tombstones, KNNInto
+// and WithinDistInto run on the caller's scratch and dst alone.
+func TestUpdatedEpochSearchesDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	s := NewAt(grid(100), 0)
+	s.Upsert([]workload.Object{obj(200, 41, 39), obj(201, 55, 52), obj(5, 44, 47)})
+	s.Delete([]int64{33, 44, 45, 201})
+	e := s.Pin()
+	defer e.Release()
+	if len(e.delta) == 0 || len(e.dead) == 0 {
+		t.Fatalf("epoch has delta %d, tombstones %d; want both", len(e.delta), len(e.dead))
+	}
+	q := geom.Vec2{X: 45, Y: 45}
+	var sc index.Scratch
+	var knn, within []index.Item
+	var visits int64
+	search := func() {
+		knn = e.KNNInto(q, 8, &visits, &sc, knn[:0])
+		within = e.KNNInto(q, 3, &visits, &sc, within[:0])
+		within = e.WithinDistInto(q, 25, &visits, within)
+	}
+	search() // warm the scratch and buffers to their high-water marks
+	if n := testing.AllocsPerRun(50, search); n != 0 {
+		t.Fatalf("warm searches on an updated epoch allocate %.1f times per run, want 0", n)
 	}
 }
 
@@ -279,6 +322,8 @@ func TestConcurrentPinRelease(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			q := geom.Vec2{X: float64(10 * g), Y: 30}
+			var sc index.Scratch
+			var items []index.Item
 			for {
 				select {
 				case <-stop:
@@ -287,7 +332,7 @@ func TestConcurrentPinRelease(t *testing.T) {
 				}
 				e := s.Pin()
 				seq := e.Seq()
-				items := e.KNN(q, 3, nil)
+				items = e.KNNInto(q, 3, nil, &sc, items[:0])
 				for _, it := range items {
 					if _, ok := e.Object(it.ID); !ok {
 						t.Errorf("epoch %d: KNN item %d not in same epoch's table", seq, it.ID)

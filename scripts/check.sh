@@ -29,13 +29,14 @@ fi
 go run ./cmd/sklint "${sklint_flags[@]}" ./...
 
 echo "== sklint baseline budget =="
-# The recorded hotpath-alloc debt must keep shrinking: after the SoA
-# flat-buffer refactor the budget is 10 findings. A higher total means new
-# debt was baselined instead of paid down.
+# The recorded hotpath-alloc debt must keep shrinking: after the R-tree's
+# k-NN filter became a tombstone set (no dynamic call) the budget is 6
+# findings. A higher total means new debt was baselined instead of paid
+# down.
 baseline_total=$(grep -o ': [0-9]*' lint.baseline.json | awk '{s+=$2} END{print s+0}')
-echo "baseline total: $baseline_total (budget 10)"
-if [ "$baseline_total" -gt 10 ]; then
-    echo "lint.baseline.json records $baseline_total findings, budget is 10" >&2
+echo "baseline total: $baseline_total (budget 6)"
+if [ "$baseline_total" -gt 6 ]; then
+    echo "lint.baseline.json records $baseline_total findings, budget is 6" >&2
     exit 1
 fi
 
@@ -66,7 +67,11 @@ echo "== allocation budget =="
 # is a steady-state regression (a fresh closure, a map, an append past
 # capacity), not cold growth. The AllocsPerRun tests pin the same property
 # per query; this stage pins it on the benchmark workload CI already runs.
-alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$' -benchtime=50x -benchmem .)
+# BenchmarkKNNUnderUpdates stays out: its store changes size under the
+# update mix, so session slabs still grow now and then after warm-up
+# (a few allocs/op that fall with -benchtime). The updated-epoch search
+# itself is pinned at 0 by objstore's AllocsPerRun test.
+alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$|RTreeKNN$' -benchtime=50x -benchmem .)
 printf '%s\n' "$alloc_out"
 bad=$(printf '%s\n' "$alloc_out" | awk '/allocs\/op/ && $(NF-1) != 0 {print $1, $(NF-1)}')
 if [ -n "$bad" ]; then
