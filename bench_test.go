@@ -110,6 +110,39 @@ func BenchmarkFig8LowerBound(b *testing.B) {
 	}
 }
 
+// BenchmarkSDNLowerBound times the SDN chain kernel as MR3 drives it: per
+// op, one benchQueryPoints pair walks the S2 MSDN resolutions, running the
+// dummy (envelope) estimate around the previous resolution's path and then
+// the full estimate. The scratch is warmed over every pair before the timer
+// starts, so allocs/op is the steady state (0).
+func BenchmarkSDNLowerBound(b *testing.B) {
+	f := getFixture(b)
+	qs := benchQueryPoints(b, f, 16)
+	ms := f.db.MSDN
+	region := f.db.Extent()
+	margin := 2 * ms.Spacing
+	var sc sdn.Scratch
+	var path []sdn.Segment
+	op := func(i int) {
+		a, c := qs[i%len(qs)].Pos, qs[(i+1)%len(qs)].Pos
+		path = path[:0]
+		for _, res := range core.S2.MSDN {
+			if len(path) > 0 {
+				ms.LowerBoundEnvelopeScratch(&sc, a, c, region, res, path, margin)
+			}
+			path = append(path[:0], ms.LowerBoundScratch(&sc, a, c, region, res).Path...)
+		}
+	}
+	for i := range qs {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
 // --- Figure 9: integrated I/O regions on/off ---
 
 func BenchmarkFig9IntegrationOn(b *testing.B) {

@@ -436,7 +436,7 @@ func localSKQL(db *core.TerrainDB, timeout time.Duration, trace bool) stmtExec {
 	cat := sklang.Catalog{
 		Objects: len(db.Objects()),
 		Faces:   db.Mesh.NumFaces(),
-		Area:    db.Mesh.Extent().Area(),
+		Area:    db.Extent().Area(),
 	}
 	return func(src string) bool {
 		plan, err := sklang.Compile(src, cat)

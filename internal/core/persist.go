@@ -435,6 +435,10 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	// MSDN.
 	ms := &sdn.MSDN{Spacing: pr.f64()}
 	for fam := 0; fam < 2; fam++ {
+		axis := sdn.XAxis
+		if fam == 1 {
+			axis = sdn.YAxis
+		}
 		count := int(pr.u32())
 		if pr.err != nil {
 			return nil, fmt.Errorf("core: load: MSDN header: %w", pr.err)
@@ -463,6 +467,9 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 				if pr.err != nil {
 					return nil, fmt.Errorf("core: load: cross-line points: %w", pr.err)
 				}
+			}
+			if err := checkCrossLine(cl, axis, lines); err != nil {
+				return nil, fmt.Errorf("core: load: %w: family %d line %d: %v", ErrBadSnapshot, fam, li, err)
 			}
 			lines = append(lines, cl)
 		}
@@ -548,6 +555,47 @@ func Load(r io.Reader, cfg Config) (*TerrainDB, error) {
 	}
 	return db, nil
 }
+
+// checkCrossLine validates a loaded crossing line against what the builder
+// guarantees and the lower bound relies on: the family's axis, a finite
+// plane coordinate strictly above that of the last line already read
+// (linesBetween assumes sorted planes), at least two finite points (span
+// boxes assume no NaN), and ranks forming a permutation of 0..n-1 with the
+// end points at 0 and 1 — otherwise retention could drop an end point and
+// the segment boxes would stop covering the line.
+func checkCrossLine(cl *sdn.CrossLine, axis sdn.Axis, before []*sdn.CrossLine) error {
+	if cl.Axis != axis {
+		return fmt.Errorf("axis %d in family %d", cl.Axis, axis)
+	}
+	if !finite(cl.Coord) {
+		return fmt.Errorf("plane coordinate %v", cl.Coord)
+	}
+	if n := len(before); n > 0 && !(before[n-1].Coord < cl.Coord) {
+		return fmt.Errorf("plane coordinate %v not above previous %v", cl.Coord, before[n-1].Coord)
+	}
+	n := len(cl.Pts)
+	if n < 2 {
+		return fmt.Errorf("%d points", n)
+	}
+	for i, p := range cl.Pts {
+		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return fmt.Errorf("point %d is %v", i, p)
+		}
+	}
+	seen := make([]bool, n)
+	for i, r := range cl.Rank {
+		if r < 0 || r >= n || seen[r] {
+			return fmt.Errorf("rank %d of point %d breaks the permutation of 0..%d", r, i, n-1)
+		}
+		seen[r] = true
+	}
+	if cl.Rank[0] != 0 || cl.Rank[n-1] != 1 {
+		return fmt.Errorf("end point ranks %d, %d, want 0, 1", cl.Rank[0], cl.Rank[n-1])
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // loadPathnetFlat reads the v4 pathnet section, validating every index
 // against the buffers it points into. nf is the mesh face count (bounds the

@@ -12,6 +12,7 @@ import (
 	"surfknn/internal/dem"
 	"surfknn/internal/geom"
 	"surfknn/internal/index"
+	"surfknn/internal/sdn"
 	"surfknn/internal/workload"
 )
 
@@ -254,6 +255,71 @@ func TestLoadRejectsForgedIndexLayout(t *testing.T) {
 	}
 	if _, err := Load(&buf, Config{}); err != nil {
 		t.Fatalf("packed layout rejected: %v", err)
+	}
+}
+
+// TestLoadRejectsForgedCrossLines forges snapshots whose MSDN crossing
+// lines break one builder guarantee each. The writer computes a valid CRC
+// over the forged bytes, so only the loader's structural check stands
+// between them and segment boxes that no longer cover their line.
+func TestLoadRejectsForgedCrossLines(t *testing.T) {
+	db := buildDB(t, dem.BH, 8, 2, 37)
+	objs, epoch, dxy := db.snapshotObjects()
+	orig := db.MSDN
+	if len(orig.XLines) < 2 || len(orig.XLines[0].Pts) < 3 {
+		t.Fatalf("fixture too small: %d x-lines", len(orig.XLines))
+	}
+	// forge saves a copy of the MSDN whose x-lines fn edited; only the
+	// first line's contents are copied, so fn may change those and the
+	// order of the slice.
+	forge := func(fn func(lines []*sdn.CrossLine)) []byte {
+		ms := *orig
+		ms.XLines = append([]*sdn.CrossLine(nil), orig.XLines...)
+		cl := *ms.XLines[0]
+		cl.Pts = append([]geom.Vec3(nil), cl.Pts...)
+		cl.Rank = append([]int(nil), cl.Rank...)
+		ms.XLines[0] = &cl
+		fn(ms.XLines)
+		db.MSDN = &ms
+		defer func() { db.MSDN = orig }()
+		var buf bytes.Buffer
+		if err := db.save(&buf, objs, epoch, dxy); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name string
+		fn   func(lines []*sdn.CrossLine)
+	}{
+		{"wrong-axis", func(l []*sdn.CrossLine) { l[0].Axis = sdn.YAxis }},
+		{"unsorted-coord", func(l []*sdn.CrossLine) { l[0], l[1] = l[1], l[0] }},
+		{"duplicate-coord", func(l []*sdn.CrossLine) { l[0].Coord = l[1].Coord }},
+		{"nan-coord", func(l []*sdn.CrossLine) { l[0].Coord = math.NaN() }},
+		{"inf-coord", func(l []*sdn.CrossLine) { l[0].Coord = math.Inf(-1) }},
+		{"one-point", func(l []*sdn.CrossLine) { l[0].Pts, l[0].Rank = l[0].Pts[:1], []int{0} }},
+		{"nan-point", func(l []*sdn.CrossLine) { l[0].Pts[1].Z = math.NaN() }},
+		{"inf-point", func(l []*sdn.CrossLine) { l[0].Pts[1].Y = math.Inf(1) }},
+		{"rank-out-of-range", func(l []*sdn.CrossLine) { l[0].Rank[1] = len(l[0].Pts) }},
+		{"rank-duplicate", func(l []*sdn.CrossLine) { l[0].Rank[1] = l[0].Rank[2] }},
+		{"first-rank-not-0", func(l []*sdn.CrossLine) {
+			r := l[0].Rank
+			r[0], r[1] = r[1], r[0]
+		}},
+		{"last-rank-not-1", func(l []*sdn.CrossLine) {
+			r, n := l[0].Rank, len(l[0].Rank)-1
+			r[n], r[1] = r[1], r[n]
+		}},
+	}
+	for _, c := range cases {
+		_, err := Load(bytes.NewReader(forge(c.fn)), Config{})
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err = %v, want ErrBadSnapshot", c.name, err)
+		}
+	}
+	// The unedited copy loads.
+	if _, err := Load(bytes.NewReader(forge(func([]*sdn.CrossLine) {})), Config{}); err != nil {
+		t.Fatalf("unedited lines rejected: %v", err)
 	}
 }
 

@@ -310,14 +310,13 @@ func (r *ranker) regionOf(c *candidate) geom.MBR {
 	if c.regionOK {
 		return c.region
 	}
-	m := r.s.db.Mesh.Extent()
+	c.region, c.regionOK = r.s.db.extent, true
 	if !math.IsInf(c.ub, 1) {
 		if e := geom.NewEllipse(r.q.XY(), c.obj.Point.XY(), c.ub).MBR(); !e.IsEmpty() {
-			m = e
+			c.region = e
 		}
 	}
-	c.region, c.regionOK = m, true
-	return m
+	return c.region
 }
 
 // groupRegions merges candidate I/O regions that overlap by at least the

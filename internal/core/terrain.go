@@ -64,6 +64,7 @@ type TerrainDB struct {
 	Pool *storage.BufferPool
 
 	cfg           Config
+	extent        geom.MBR      // Mesh.Extent(), computed once: the mesh is immutable
 	reg           *obs.Registry // process-wide counters; nil when uninstrumented
 	sessions      sessionPool   // idle sessions for AcquireSession/Release
 	dmtmStore     *storage.Clustered
@@ -77,6 +78,11 @@ type TerrainDB struct {
 // reports the current format it would save as. Serving layers expose it in
 // healthz so a coordinator can verify topology.
 func (db *TerrainDB) FormatVersion() int { return db.formatVersion }
+
+// Extent returns the terrain's (x,y) bounding rectangle — Mesh.Extent(),
+// computed once when the database is built or loaded rather than rescanned
+// by every query that needs the whole-terrain region.
+func (db *TerrainDB) Extent() geom.MBR { return db.extent }
 
 // Instrument attaches a process-wide observability registry: every query
 // on this database (from any session) feeds its lifecycle, work and latency
@@ -128,6 +134,7 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 		Pool: storage.NewBufferPool(storage.NewMemFile(), cfg.PoolPages),
 		cfg:  cfg,
 
+		extent:        m.Extent(),
 		formatVersion: 4,
 	}
 	var err error
@@ -157,7 +164,7 @@ func assembleTerrainDB(m *mesh.Mesh, tree *multires.Tree, ms *sdn.MSDN, path *pa
 	for level, res := range SDNLadder {
 		for _, fam := range [][]*sdn.CrossLine{db.MSDN.XLines, db.MSDN.YLines} {
 			for _, cl := range fam {
-				for _, seg := range cl.Segments(res, m.Extent()) {
+				for _, seg := range cl.Segments(res, db.extent) {
 					srecs = append(srecs, storage.ClusterRecord{
 						ID:   id,
 						MBR:  seg.Box.XY(),

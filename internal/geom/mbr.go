@@ -251,20 +251,6 @@ func (b Box3) ContainsBox(o Box3) bool {
 		o.Min.Z >= b.Min.Z && o.Max.Z <= b.Max.Z
 }
 
-// DistToBox returns the minimum Euclidean distance between two boxes
-// (0 when they intersect). This is the SDN edge weight from the paper:
-// "the minimum Euclidian distance between the MBRs of the two line
-// segments".
-func (b Box3) DistToBox(o Box3) float64 {
-	if b.IsEmpty() || o.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx := rangeGap(b.Min.X, b.Max.X, o.Min.X, o.Max.X)
-	dy := rangeGap(b.Min.Y, b.Max.Y, o.Min.Y, o.Max.Y)
-	dz := rangeGap(b.Min.Z, b.Max.Z, o.Min.Z, o.Max.Z)
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
-}
-
 // DistToPoint returns the minimum Euclidean distance from p to the box
 // (0 when p is inside).
 func (b Box3) DistToPoint(p Vec3) float64 {

@@ -149,12 +149,6 @@ func TestBox3(t *testing.T) {
 		t.Fatal("box should not be empty")
 	}
 	o := Box3Of(Vec3{4, 0, 0}, Vec3{5, 2, 3})
-	if got := b.DistToBox(o); got != 3 {
-		t.Errorf("DistToBox = %v", got)
-	}
-	if got := b.DistToBox(b); got != 0 {
-		t.Errorf("self dist = %v", got)
-	}
 	if got := b.DistToPoint(Vec3{1, 2, 7}); got != 4 {
 		t.Errorf("DistToPoint = %v", got)
 	}

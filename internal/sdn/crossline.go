@@ -231,19 +231,49 @@ func (cl *CrossLine) Segments(resolution float64, region geom.MBR) []Segment {
 
 // segmentsInto is Segments appending into dst, with idx as the retained-index
 // scratch; it returns both (possibly grown) buffers so the caller can retain
-// them for the next line.
+// them for the next line. Span boxes and the region test use plain
+// comparisons, so the per-point loop makes no calls.
 func (cl *CrossLine) segmentsInto(resolution float64, region geom.MBR, idx []int, dst []Segment) ([]Segment, []int) {
 	idx = cl.retainedInto(resolution, idx)
+	if region.IsEmpty() {
+		return dst, idx
+	}
 	for k := 0; k+1 < len(idx); k++ {
 		i, j := idx[k], idx[k+1]
-		box := geom.EmptyBox3()
-		for p := i; p <= j; p++ {
-			box = box.ExtendPoint(cl.Pts[p])
+		box := spanBox(cl.Pts[i : j+1])
+		if box.Min.X <= region.MaxX && region.MinX <= box.Max.X &&
+			box.Min.Y <= region.MaxY && region.MinY <= box.Max.Y {
+			dst = append(dst, Segment{Line: cl, I: i, J: j, Box: box})
 		}
-		if !box.XY().Intersects(region) {
-			continue
-		}
-		dst = append(dst, Segment{Line: cl, I: i, J: j, Box: box})
 	}
 	return dst, idx
+}
+
+// spanBox returns the bounding box of a non-empty point run. It matches
+// folding geom.Box3.ExtendPoint over the run except on NaN coordinates,
+// which the builder never produces and the snapshot loader rejects, and on
+// the sign of a zero bound, which no distance or intersection test sees.
+func spanBox(pts []geom.Vec3) geom.Box3 {
+	lo, hi := pts[0], pts[0]
+	for _, p := range pts[1:] {
+		if p.X < lo.X {
+			lo.X = p.X
+		}
+		if p.X > hi.X {
+			hi.X = p.X
+		}
+		if p.Y < lo.Y {
+			lo.Y = p.Y
+		}
+		if p.Y > hi.Y {
+			hi.Y = p.Y
+		}
+		if p.Z < lo.Z {
+			lo.Z = p.Z
+		}
+		if p.Z > hi.Z {
+			hi.Z = p.Z
+		}
+	}
+	return geom.Box3{Min: lo, Max: hi}
 }

@@ -162,10 +162,14 @@ func (ms *MSDN) chainOver(sc *Scratch, a, b geom.Vec3, region geom.MBR, resoluti
 		reverse(between)
 	}
 
+	// Empty envelope boxes touch nothing; dropping them here lets the
+	// per-segment test skip the emptiness checks.
 	hasEnv := len(envelope) > 0
 	sc.envBoxes = sc.envBoxes[:0]
 	for _, s := range envelope {
-		sc.envBoxes = append(sc.envBoxes, s.Box.XY().Expand(margin))
+		if e := s.Box.XY().Expand(margin); !e.IsEmpty() {
+			sc.envBoxes = append(sc.envBoxes, e)
+		}
 	}
 
 	// Layered dynamic program: dist[k] = shortest chain from a to arena
@@ -180,7 +184,7 @@ func (ms *MSDN) chainOver(sc *Scratch, a, b geom.Vec3, region geom.MBR, resoluti
 		if hasEnv {
 			kept := segStart
 			for p := segStart; p < len(sc.segs); p++ {
-				if envIntersects(sc.envBoxes, sc.segs[p]) {
+				if envIntersects(sc.envBoxes, &sc.segs[p].Box) {
 					sc.segs[kept] = sc.segs[p]
 					kept++
 				}
@@ -204,16 +208,7 @@ func (ms *MSDN) chainOver(sc *Scratch, a, b geom.Vec3, region geom.MBR, resoluti
 			}
 		} else {
 			for p := segStart; p < end; p++ {
-				best := math.Inf(1)
-				bestJ := int32(-1)
-				for j := prevStart; j < segStart; j++ {
-					if d := sc.dist[j] + sc.segs[j].Box.DistToBox(sc.segs[p].Box); d < best {
-						best = d
-						bestJ = int32(j)
-					}
-				}
-				sc.dist[p] = best
-				sc.prev[p] = bestJ
+				sc.dist[p], sc.prev[p] = transition(sc.segs, sc.dist, prevStart, segStart, &sc.segs[p].Box)
 			}
 		}
 		prevStart = segStart
@@ -247,13 +242,53 @@ func (ms *MSDN) chainOver(sc *Scratch, a, b geom.Vec3, region geom.MBR, resoluti
 	return est
 }
 
-// envIntersects reports whether the segment's footprint touches any envelope
-// box. A function rather than a closure: the chain DP calls it statically
-// and nothing escapes.
-func envIntersects(env []geom.MBR, s Segment) bool {
-	xy := s.Box.XY()
+// transition is the layer-transition kernel of the chain DP: the shortest
+// chain from a into a segment with box o through one segment of the
+// previous layer (arena span [lo, hi) of segs, with chain lengths in dist),
+// weighted by "the minimum Euclidean distance between the MBRs of the two
+// line segments". It returns that length and the arena index realising it
+// (the first one on ties, so paths are deterministic; -1 if none does).
+// The loop makes no calls: each axis gap is computed inline, and no box is
+// tested for emptiness, since every segment spans I < J and its box holds
+// at least two points.
+func transition(segs []Segment, dist []float64, lo, hi int, o *geom.Box3) (float64, int32) {
+	oMinX, oMinY, oMinZ := o.Min.X, o.Min.Y, o.Min.Z
+	oMaxX, oMaxY, oMaxZ := o.Max.X, o.Max.Y, o.Max.Z
+	prev, dist := segs[lo:hi], dist[lo:hi]
+	best := math.Inf(1)
+	bestJ := int32(-1)
+	for j := range prev {
+		b := &prev[j].Box
+		var dx, dy, dz float64
+		if b.Max.X < oMinX {
+			dx = oMinX - b.Max.X
+		} else if oMaxX < b.Min.X {
+			dx = b.Min.X - oMaxX
+		}
+		if b.Max.Y < oMinY {
+			dy = oMinY - b.Max.Y
+		} else if oMaxY < b.Min.Y {
+			dy = b.Min.Y - oMaxY
+		}
+		if b.Max.Z < oMinZ {
+			dz = oMinZ - b.Max.Z
+		} else if oMaxZ < b.Min.Z {
+			dz = b.Min.Z - oMaxZ
+		}
+		if d := dist[j] + math.Sqrt(dx*dx+dy*dy+dz*dz); d < best {
+			best = d
+			bestJ = int32(lo + j)
+		}
+	}
+	return best, bestJ
+}
+
+// envIntersects reports whether the box's footprint touches any envelope
+// box (all non-empty). A function rather than a closure: the chain DP calls
+// it statically and nothing escapes.
+func envIntersects(env []geom.MBR, b *geom.Box3) bool {
 	for _, e := range env {
-		if e.Intersects(xy) {
+		if e.MinX <= b.Max.X && b.Min.X <= e.MaxX && e.MinY <= b.Max.Y && b.Min.Y <= e.MaxY {
 			return true
 		}
 	}

@@ -17,8 +17,6 @@ type MSDN struct {
 	// Spacing is the plane interval; the paper recommends the average edge
 	// length of the original mesh for the densest setting.
 	Spacing float64
-
-	extent geom.MBR
 }
 
 // BuildMSDN extracts both plane families with the given spacing. A
@@ -42,7 +40,7 @@ func BuildMSDNSubdiv(m *mesh.Mesh, spacing float64, subdiv int) *MSDN {
 	if subdiv < 1 {
 		subdiv = 1
 	}
-	ms := &MSDN{Spacing: spacing, extent: ext}
+	ms := &MSDN{Spacing: spacing}
 	for x := ext.MinX + spacing; x < ext.MaxX-spacing/2; x += spacing {
 		if cl := extractCrossLine(m, XAxis, x, subdiv); len(cl.Pts) >= 2 {
 			ms.XLines = append(ms.XLines, cl)

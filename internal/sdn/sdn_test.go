@@ -293,3 +293,55 @@ func TestLowerBoundBothNeverWorse(t *testing.T) {
 		}
 	}
 }
+
+func TestTransitionBoxGap(t *testing.T) {
+	t.Parallel()
+	b := geom.Box3Of(geom.Vec3{X: 0, Y: 0, Z: 0}, geom.Vec3{X: 1, Y: 2, Z: 3})
+	o := geom.Box3Of(geom.Vec3{X: 4, Y: 0, Z: 0}, geom.Vec3{X: 5, Y: 2, Z: 3})
+	segs := []Segment{{Box: b}, {Box: o}}
+	dist := []float64{0, 0}
+	if got, j := transition(segs, dist, 0, 1, &o); got != 3 || j != 0 {
+		t.Errorf("gap = %v via %d, want 3 via 0", got, j)
+	}
+	if got, j := transition(segs, dist, 0, 1, &b); got != 0 || j != 0 {
+		t.Errorf("self gap = %v via %d, want 0 via 0", got, j)
+	}
+	// The chain length adds to the gap; ties keep the first index.
+	dist = []float64{5, 2}
+	if got, j := transition(segs, dist, 0, 2, &o); got != 2 || j != 1 {
+		t.Errorf("best = %v via %d, want 2 via 1", got, j)
+	}
+	dist = []float64{2, 2}
+	if got, j := transition(segs, dist, 0, 2, &b); got != 2 || j != 0 {
+		t.Errorf("tie = %v via %d, want 2 via 0", got, j)
+	}
+	// A gap on every axis: sqrt(3² + 4² + 12²) = 13.
+	far := geom.Box3Of(geom.Vec3{X: 4, Y: 6, Z: 15}, geom.Vec3{X: 9, Y: 9, Z: 20})
+	if got, _ := transition(segs, []float64{0, 0}, 0, 1, &far); got != 13 {
+		t.Errorf("3-axis gap = %v, want 13", got)
+	}
+	if got, j := transition(segs, dist, 1, 1, &b); !math.IsInf(got, 1) || j != -1 {
+		t.Errorf("empty layer = %v via %d, want +Inf via -1", got, j)
+	}
+}
+
+// TestSpanBoxMatchesExtend checks the comparison-built span boxes bit for
+// bit against folding Box3.ExtendPoint over the same points.
+func TestSpanBoxMatchesExtend(t *testing.T) {
+	t.Parallel()
+	m := rugged(16, 37)
+	ms := BuildMSDN(m, 0)
+	for _, fam := range [][]*CrossLine{ms.XLines, ms.YLines} {
+		for _, cl := range fam {
+			for _, s := range cl.Segments(0.5, m.Extent()) {
+				want := geom.EmptyBox3()
+				for _, p := range cl.Pts[s.I : s.J+1] {
+					want = want.ExtendPoint(p)
+				}
+				if s.Box != want {
+					t.Fatalf("line %v span [%d,%d]: box %+v, want %+v", cl.Coord, s.I, s.J, s.Box, want)
+				}
+			}
+		}
+	}
+}

@@ -22,7 +22,7 @@ func (s *Server) catalog() sklang.Catalog {
 	return sklang.Catalog{
 		Objects: len(s.db.Objects()),
 		Faces:   s.db.Mesh.NumFaces(),
-		Area:    s.db.Mesh.Extent().Area(),
+		Area:    s.db.Extent().Area(),
 	}
 }
 

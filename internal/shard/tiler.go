@@ -20,7 +20,7 @@ func Cut(db *core.TerrainDB, nx, ny int, dir, prefix string) (*Manifest, error) 
 	if nx < 1 || ny < 1 {
 		return nil, fmt.Errorf("shard: invalid grid %dx%d", nx, ny)
 	}
-	tiling := Tiling{NX: nx, NY: ny, Extent: db.Mesh.Extent()}
+	tiling := Tiling{NX: nx, NY: ny, Extent: db.Extent()}
 	objs := db.Objects()
 	epoch := db.CurrentEpoch()
 	parts := workload.PartitionObjects(objs, tiling.NumTiles(), func(o workload.Object) int {

@@ -126,9 +126,9 @@ func (c *Clustered) fetchPage(id PageID, region geom.MBR, level int32, acct *IOA
 	defer c.pool.Unpin(fr, false)
 	n := count(fr.Data)
 	for i := 0; i < n; i++ {
-		rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-		if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
-			fn(rec)
+		p := clusterRecAt(fr.Data, i)
+		if recValidAt(p, level) && recMBR(p).Intersects(region) {
+			fn(readClusterRec(p))
 		}
 	}
 	return nil
@@ -137,7 +137,7 @@ func (c *Clustered) fetchPage(id PageID, region geom.MBR, level int32, acct *IOA
 // FetchIDs is Fetch collecting just the record IDs into dst (reuse a
 // buffer across queries to avoid allocation: the warm query path calls this
 // instead of passing a collector closure into Fetch). Page accounting is
-// identical to Fetch.
+// identical to Fetch. A record's ID is decoded only when it matches.
 func (c *Clustered) FetchIDs(region geom.MBR, level int32, acct *IOAccount, dst []uint64) ([]uint64, error) {
 	for _, meta := range c.dir {
 		if meta.minFrom > level || meta.maxTo <= level {
@@ -152,9 +152,9 @@ func (c *Clustered) FetchIDs(region geom.MBR, level int32, acct *IOAccount, dst 
 		}
 		n := count(fr.Data)
 		for i := 0; i < n; i++ {
-			rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-			if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
-				dst = append(dst, rec.ID)
+			p := clusterRecAt(fr.Data, i)
+			if recValidAt(p, level) && recMBR(p).Intersects(region) {
+				dst = append(dst, binary.LittleEndian.Uint64(p[0:]))
 			}
 		}
 		c.pool.Unpin(fr, false)
@@ -180,8 +180,8 @@ func (c *Clustered) FetchCount(region geom.MBR, level int32, acct *IOAccount) (i
 		}
 		n := count(fr.Data)
 		for i := 0; i < n; i++ {
-			rec := readClusterRec(fr.Data[hdrSize+i*clusterRecSize:])
-			if rec.From <= level && level < rec.To && rec.MBR.Intersects(region) {
+			p := clusterRecAt(fr.Data, i)
+			if recValidAt(p, level) && recMBR(p).Intersects(region) {
 				total++
 			}
 		}
@@ -215,15 +215,33 @@ func writeClusterRec(p []byte, r ClusterRecord) {
 	binary.LittleEndian.PutUint32(p[44:], uint32(r.To))
 }
 
+// clusterRecAt returns the encoded bytes of record i on a data page.
+func clusterRecAt(page []byte, i int) []byte {
+	off := hdrSize + i*clusterRecSize
+	return page[off : off+clusterRecSize]
+}
+
+// recValidAt reports whether the encoded record's validity interval
+// [From, To) holds level, decoding only bytes 40–47; the scans test it
+// before decoding the MBR. (Kept apart from the MBR test so both stay
+// within the inlining budget.)
+func recValidAt(p []byte, level int32) bool {
+	return int32(binary.LittleEndian.Uint32(p[40:])) <= level && level < int32(binary.LittleEndian.Uint32(p[44:]))
+}
+
+func recMBR(p []byte) geom.MBR {
+	return geom.MBR{
+		MinX: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
+		MinY: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
+		MaxX: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
+		MaxY: math.Float64frombits(binary.LittleEndian.Uint64(p[32:])),
+	}
+}
+
 func readClusterRec(p []byte) ClusterRecord {
 	return ClusterRecord{
-		ID: binary.LittleEndian.Uint64(p[0:]),
-		MBR: geom.MBR{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(p[8:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(p[32:])),
-		},
+		ID:   binary.LittleEndian.Uint64(p[0:]),
+		MBR:  recMBR(p),
 		From: int32(binary.LittleEndian.Uint32(p[40:])),
 		To:   int32(binary.LittleEndian.Uint32(p[44:])),
 	}

@@ -67,11 +67,12 @@ echo "== allocation budget =="
 # is a steady-state regression (a fresh closure, a map, an append past
 # capacity), not cold growth. The AllocsPerRun tests pin the same property
 # per query; this stage pins it on the benchmark workload CI already runs.
+# BenchmarkSDNLowerBound pins the SDN chain kernel on its own.
 # BenchmarkKNNUnderUpdates stays out: its store changes size under the
 # update mix, so session slabs still grow now and then after warm-up
 # (a few allocs/op that fall with -benchtime). The updated-epoch search
 # itself is pinned at 0 by objstore's AllocsPerRun test.
-alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|DijkstraCSR$|RTreeKNN$' -benchtime=50x -benchmem .)
+alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|SDNLowerBound$|DijkstraCSR$|RTreeKNN$' -benchtime=50x -benchmem .)
 printf '%s\n' "$alloc_out"
 bad=$(printf '%s\n' "$alloc_out" | awk '/allocs\/op/ && $(NF-1) != 0 {print $1, $(NF-1)}')
 if [ -n "$bad" ]; then
