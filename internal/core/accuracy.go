@@ -106,7 +106,7 @@ func (s *Session) distanceWithAccuracy(a, b mesh.SurfacePoint, accuracy float64,
 			}
 		} else {
 			tm := db.Tree.TimeForResolution(dmRes)
-			ids, err := s.fetchDMTM(region, tm)
+			ids, _, err := s.fetchDMTM(region, tm)
 			if err != nil {
 				s.endSpan(span)
 				return out, err

@@ -97,7 +97,7 @@ func (s *Session) eaDistFull(q mesh.SurfacePoint, o workload.Object, bound float
 			region = m
 		}
 	}
-	if _, err := s.fetchDMTM(region, 0); err != nil {
+	if _, _, err := s.fetchDMTM(region, 0); err != nil {
 		//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 		return 0, fmt.Errorf("core: EA terrain fetch: %w", err)
 	}

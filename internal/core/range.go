@@ -145,7 +145,7 @@ func (r *ranker) iterateRange(targets []*candidate, dmRes, sdnRes, radius float6
 		if dmRes < PathnetResolution {
 			tm = r.s.db.Tree.TimeForResolution(dmRes)
 		}
-		edgeIDs, err := r.s.fetchDMTM(r.groupRegion[gi], tm)
+		edgeIDs, edgeBoxes, err := r.s.fetchDMTM(r.groupRegion[gi], tm)
 		if err != nil {
 			return fmt.Errorf("core: fetching DMTM records: %w", err)
 		}
@@ -156,7 +156,7 @@ func (r *ranker) iterateRange(targets []*candidate, dmRes, sdnRes, radius float6
 			if r.groupOf[ti] != int32(gi) {
 				continue
 			}
-			r.updateUB(c, dmRes, tm, edgeIDs)
+			r.updateUB(c, dmRes, tm, edgeIDs, edgeBoxes)
 			// For range queries the dummy-lower-bound test is against the
 			// radius: pass it as the exclusion threshold.
 			r.updateLB(c, sdnRes, radius)

@@ -126,26 +126,28 @@ type ranker struct {
 
 // ensure grows the per-candidate buffers to hold n candidates. Runs at
 // query open (not on the annotated hot path); the ranking loops below then
-// only ever grow slices within capacity.
+// only ever grow slices within capacity. A grown candidate slab carries
+// the old slots over, so their retained path buffers survive the growth.
 func (r *ranker) ensure(n int) {
 	if cap(r.cands) < n {
-		r.cands = make([]candidate, 0, n)
+		old := r.cands[:cap(r.cands)]
+		r.cands = append(reserve(r.cands, n), old...)[:0]
 	}
-	if cap(r.targets) < n {
-		r.targets = make([]*candidate, 0, n)
+	r.targets = reserve(r.targets, n)
+	r.alive = reserve(r.alive, n)
+	r.groupRegion = reserve(r.groupRegion, n)
+	r.groupOf = reserve(r.groupOf, n)
+	r.resultsBuf = reserve(r.resultsBuf, n)
+}
+
+// reserve returns buf unchanged when it can hold n elements, else an empty
+// buffer with room for n plus a quarter: a store that grows one object at
+// a time then reallocates the session's scratch only now and then.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf
 	}
-	if cap(r.alive) < n {
-		r.alive = make([]*candidate, 0, n)
-	}
-	if cap(r.groupRegion) < n {
-		r.groupRegion = make([]geom.MBR, 0, n)
-	}
-	if cap(r.groupOf) < n {
-		r.groupOf = make([]int32, 0, n)
-	}
-	if cap(r.resultsBuf) < n {
-		r.resultsBuf = make([]Neighbor, 0, n)
-	}
+	return make([]T, 0, n+n/4)
 }
 
 // begin opens a ranking pass over the session's open cost phase and
@@ -367,7 +369,7 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes float64) error {
 		if dmRes < PathnetResolution {
 			tm = r.s.db.Tree.TimeForResolution(dmRes)
 		}
-		edgeIDs, err := r.s.fetchDMTM(r.groupRegion[gi], tm)
+		edgeIDs, edgeBoxes, err := r.s.fetchDMTM(r.groupRegion[gi], tm)
 		if err != nil {
 			//lint:ignore hotpath-alloc error path: allocates only when a terrain fetch fails, never on a successful query
 			return fmt.Errorf("core: fetching DMTM records: %w", err)
@@ -381,7 +383,7 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes float64) error {
 			if r.groupOf[ti] != int32(gi) {
 				continue
 			}
-			r.updateUB(c, dmRes, tm, edgeIDs)
+			r.updateUB(c, dmRes, tm, edgeIDs, edgeBoxes)
 			r.updateLB(c, sdnRes, kthUB)
 		}
 	}
@@ -391,7 +393,7 @@ func (r *ranker) iterate(targets []*candidate, dmRes, sdnRes float64) error {
 // updateUB refines the candidate's upper bound at the given DMTM level
 // (§4.2.1). The bound is kept as the running minimum, so a failed or looser
 // estimate never hurts correctness.
-func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint64) {
+func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint64, edgeBoxes []geom.MBR) {
 	r.pc.UpperBounds++
 	region := r.regionOf(c)
 	if dmRes >= PathnetResolution {
@@ -410,16 +412,16 @@ func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint6
 	// Refined search region: the descendants of the previous upper-bound
 	// path, represented by those nodes' subtree MBRs (Fig. 6(b)).
 	refined := r.refinedRegions(c)
-	est := r.tryUpperBound(c, tm, edgeIDs, region, refined)
+	est := r.tryUpperBound(c, tm, edgeIDs, edgeBoxes, region, refined)
 	if math.IsInf(est.UB, 1) && len(refined) > 0 {
 		// "If it is too narrow to compute the shortest network path, its
 		// area will be expanded by double each vertex's MBR."
 		for i := range refined {
 			refined[i] = refined[i].Expand(math.Max(refined[i].Width(), refined[i].Height()) / 2)
 		}
-		est = r.tryUpperBound(c, tm, edgeIDs, region, refined)
+		est = r.tryUpperBound(c, tm, edgeIDs, edgeBoxes, region, refined)
 		if math.IsInf(est.UB, 1) {
-			est = r.tryUpperBound(c, tm, edgeIDs, region, nil)
+			est = r.tryUpperBound(c, tm, edgeIDs, edgeBoxes, region, nil)
 		}
 	}
 	if est.UB < c.ub {
@@ -434,13 +436,12 @@ func (r *ranker) updateUB(c *candidate, dmRes float64, tm int32, edgeIDs []uint6
 // applying the search-region and refined-region filters inline while
 // staging edges into the session's reusable network estimator (the
 // allocation-free replacement for materialising a Network per estimate).
-func (r *ranker) tryUpperBound(c *candidate, tm int32, edgeIDs []uint64, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
-	tree := r.s.db.Tree
+// edgeBoxes holds the fetched records' MBRs, parallel to edgeIDs.
+func (r *ranker) tryUpperBound(c *candidate, tm int32, edgeIDs []uint64, edgeBoxes []geom.MBR, region geom.MBR, refined []geom.MBR) multires.UpperEstimate {
 	e := r.s.est
 	e.Begin(tm)
-	for _, id := range edgeIDs {
-		minX, minY, maxX, maxY := tree.EdgeMBR(tree.Edges[id])
-		em := geom.MBR{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
+	for i, id := range edgeIDs {
+		em := edgeBoxes[i]
 		if !em.Intersects(region) {
 			continue
 		}

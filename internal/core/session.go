@@ -71,6 +71,7 @@ type Session struct {
 	objs  []workload.Object   // resolved candidate objects
 	knnSc index.Scratch       // R-tree best-first traversal heaps
 	ids   []uint64            // fetched DMTM edge ids
+	boxes []geom.MBR          // their record MBRs, parallel to ids
 	est   *multires.Estimator // reusable upper-bound network builder
 	sdnSc sdn.Scratch         // lower-bound chain DP scratch
 	eaSc  eaState             // EA benchmark top-k scratch
@@ -119,7 +120,7 @@ func (s *Session) beginQuery(ctx context.Context, algo string) {
 	s.releaseView() // defensive: a panicked query may have left a pin
 	if s.db.store != nil {
 		s.view = s.db.store.Pin()
-		s.ensureScratch(s.view.Len())
+		s.ensureScratch(s.view.Peak())
 	}
 	if reg := s.db.reg; reg != nil {
 		reg.QueriesStarted.Add(1)
@@ -159,15 +160,12 @@ func (s *Session) releaseView() {
 }
 
 // ensureScratch grows the session's query-path buffers to hold n candidates
-// (every 2-D filter yields at most the epoch's live object count). It runs
-// at query open, keeping all capacity growth off the annotated hot path.
+// (every 2-D filter yields at most the epoch's live object count, which
+// never exceeds the store's peak). It runs at query open, keeping all
+// capacity growth off the annotated hot path.
 func (s *Session) ensureScratch(n int) {
-	if cap(s.items) < n {
-		s.items = make([]index.Item, 0, n)
-	}
-	if cap(s.objs) < n {
-		s.objs = make([]workload.Object, 0, n)
-	}
+	s.items = reserve(s.items, n)
+	s.objs = reserve(s.objs, n)
 	s.rk.ensure(n)
 }
 
@@ -243,12 +241,13 @@ func (s *Session) interrupted() error { return s.ctx.Err() }
 
 // fetchDMTM reads the DDM edge records valid at collapse time tm inside
 // region through the buffer pool — charged to this session's account — and
-// returns their edge indices. The returned slice is session scratch, valid
+// returns their edge indices with each record's MBR (the edge's
+// Tree.EdgeMBR, as stored). The returned slices are session scratch, valid
 // until the next fetch.
-func (s *Session) fetchDMTM(region geom.MBR, tm int32) ([]uint64, error) {
+func (s *Session) fetchDMTM(region geom.MBR, tm int32) ([]uint64, []geom.MBR, error) {
 	var err error
-	s.ids, err = s.db.dmtmStore.FetchIDs(region, tm, &s.io, s.ids[:0])
-	return s.ids, err
+	s.ids, s.boxes, err = s.db.dmtmStore.FetchIDs(region, tm, &s.io, s.ids[:0], s.boxes[:0])
+	return s.ids, s.boxes, err
 }
 
 // fetchSDN reads the SDN segment records of the given ladder level inside

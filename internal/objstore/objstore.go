@@ -78,6 +78,7 @@ type Epoch struct {
 	deltaByID map[int64]int // object ID → index into delta
 	dead      map[int64]struct{}
 	overlay   *index.RTree // bulk-packed over delta; nil when delta is empty
+	peak      int          // largest Len of this and every earlier epoch of the store
 
 	// Pin bookkeeping, guarded by store.mu.
 	refs    int64
@@ -96,6 +97,12 @@ func (e *Epoch) quiesced() bool { return len(e.delta) == 0 && len(e.dead) == 0 }
 
 // Len returns the number of live objects in this epoch.
 func (e *Epoch) Len() int { return len(e.base.objects) - len(e.dead) + len(e.delta) }
+
+// Peak returns the store's high-water object count: the largest Len of
+// this epoch and every epoch published before it. Query sessions size
+// their per-candidate scratch against it, so a store whose count swings
+// under updates does not regrow them each time it returns to a former peak.
+func (e *Epoch) Peak() int { return e.peak }
 
 // Object resolves a live object by ID.
 func (e *Epoch) Object(id int64) (workload.Object, bool) {
@@ -281,7 +288,7 @@ func New() *Store { return NewAt(nil, 0) }
 // number — how a snapshot restore resumes at the epoch it was saved at.
 func NewAt(objs []workload.Object, epoch uint64) *Store {
 	s := &Store{compact: DefaultCompactThreshold, live: 1}
-	e := &Epoch{store: s, seq: epoch, base: newBaseTable(objs)}
+	e := &Epoch{store: s, seq: epoch, base: newBaseTable(objs), peak: len(objs)}
 	s.cur.Store(e)
 	return s
 }
@@ -297,7 +304,7 @@ func NewAtWithIndex(objs []workload.Object, epoch uint64, f index.Flat) *Store {
 		b.byID[o.ID] = o
 	}
 	b.tree = index.FromFlat(f)
-	e := &Epoch{store: s, seq: epoch, base: b}
+	e := &Epoch{store: s, seq: epoch, base: b, peak: len(objs)}
 	s.cur.Store(e)
 	return s
 }
@@ -639,6 +646,7 @@ func (s *Store) publishLocked(cur *Epoch, seq uint64, delta []workload.Object, d
 			next.overlay = index.Bulk(items)
 		}
 	}
+	next.peak = max(cur.peak, next.Len())
 	s.cur.Store(next)
 	s.live++
 	cur.retired = true

@@ -185,11 +185,17 @@ func TestCompactionPreservesContents(t *testing.T) {
 	t.Parallel()
 	s := NewAt(grid(10), 0)
 	s.SetCompactThreshold(4)
+	peak := 10
 	for i := 0; i < 20; i++ {
 		if i%3 == 2 {
 			s.Delete([]int64{int64(i % 10)})
 		} else {
 			s.Upsert([]workload.Object{obj(int64(200+i), float64(i), float64(i))})
+		}
+		// Peak is the high-water Len across every epoch, compactions included.
+		peak = max(peak, s.Current().Len())
+		if got := s.Current().Peak(); got != peak {
+			t.Fatalf("after op %d: Peak = %d, want %d", i, got, peak)
 		}
 	}
 	cur := s.Current()

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -29,33 +28,47 @@ type IOAccount struct {
 	Misses   int64
 }
 
-// Frame is a pinned page in the buffer pool. Data is valid until Unpin.
-// Pinned frames are never evicted, so concurrent readers may use Data
-// without holding any pool lock; the pin/dirty bookkeeping itself is
-// guarded by the pool's mutex.
+// Frame is a pinned page in the buffer pool. Data is valid until Unpin:
+// once a frame's last pin is released it may be evicted, and the pool then
+// reuses the Frame and its Data for another page. Pinned frames are never
+// evicted, so concurrent readers may use Data without holding any pool
+// lock; the pin/dirty bookkeeping itself is guarded by the pool's mutex.
 type Frame struct {
 	ID    PageID
 	Data  []byte
 	pins  int
 	dirty bool
-	elem  *list.Element
+	// prev/next link the frame into the pool's LRU ring from its first
+	// unpin until it is evicted; both are nil while it is off the ring.
+	prev, next *Frame
 }
 
 // BufferPool caches pages with LRU replacement. Pinned pages are never
 // evicted. All methods are safe for concurrent use: the frame table, LRU
-// list, pin counts and pool-wide stats are guarded by one mutex (page-file
+// ring, pin counts and pool-wide stats are guarded by one mutex (page-file
 // reads on a miss happen under it too — the backing files are memory or
 // local disk, and hit-path readers touch pinned Data without any lock).
 // Per-query access accounting goes through the IOAccount passed to Get,
 // which needs no locking because each query owns its account.
+//
+// A miss allocates nothing once the pool is full: the evicted victim's
+// Frame and Data are handed to the page being loaded. Frames are created
+// lazily, one per page first loaded while the pool still has room, so a
+// pool larger than its file never holds more frames than the file has
+// pages.
 type BufferPool struct {
 	mu       sync.Mutex
 	file     PageFile
 	capacity int
-	frames   map[PageID]*Frame
-	lru      *list.List // front = most recently used; holds unpinned frames
-	stats    Stats
-	reg      *obs.Registry // process-wide counters; nil when uninstrumented
+	frames   []*Frame // indexed by PageID (dense from PageFile.Alloc); nil = not resident
+	resident int      // non-nil entries of frames
+	// lru is the sentinel of the intrusive LRU ring: lru.next is the most
+	// recently unpinned frame, lru.prev the cold end. A frame joins the ring
+	// on its first unpin and keeps its place while re-pinned.
+	lru   Frame
+	spare *Frame // evicted frame awaiting reuse by the next load
+	stats Stats
+	reg   *obs.Registry // process-wide counters; nil when uninstrumented
 }
 
 // Instrument mirrors the pool's hit/miss/eviction activity into the
@@ -72,12 +85,13 @@ func NewBufferPool(file PageFile, capacity int) *BufferPool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("storage: buffer pool capacity %d", capacity))
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		file:     file,
 		capacity: capacity,
-		frames:   make(map[PageID]*Frame, capacity),
-		lru:      list.New(),
+		frames:   make([]*Frame, file.NumPages()),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Stats returns a copy of the pool-wide counters.
@@ -102,11 +116,12 @@ func (bp *BufferPool) Alloc() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.freeFrame()
+	if err != nil {
 		return nil, err
 	}
-	fr := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1, dirty: true}
-	bp.frames[id] = fr
+	clear(fr.Data) // a recycled frame still holds its victim's bytes
+	bp.admit(fr, id, true)
 	return fr, nil
 }
 
@@ -121,15 +136,16 @@ func (bp *BufferPool) Get(id PageID, acct *IOAccount) (*Frame, error) {
 	if acct != nil {
 		acct.Accesses++
 	}
-	if fr, ok := bp.frames[id]; ok {
-		if bp.reg != nil {
-			bp.reg.PoolHits.Add(1)
+	if int(id) < len(bp.frames) {
+		if fr := bp.frames[id]; fr != nil {
+			if bp.reg != nil {
+				bp.reg.PoolHits.Add(1)
+			}
+			// The frame keeps its ring position while pinned (eviction
+			// skips pinned frames).
+			fr.pins++
+			return fr, nil
 		}
-		// The frame keeps its LRU element while pinned (eviction skips
-		// pinned frames); re-pinning therefore never churns list elements,
-		// which keeps the warm hit path allocation-free.
-		fr.pins++
-		return fr, nil
 	}
 	bp.stats.Misses++
 	if acct != nil {
@@ -138,14 +154,15 @@ func (bp *BufferPool) Get(id PageID, acct *IOAccount) (*Frame, error) {
 	if bp.reg != nil {
 		bp.reg.PoolMisses.Add(1)
 	}
-	if err := bp.makeRoom(); err != nil {
+	fr, err := bp.freeFrame()
+	if err != nil {
 		return nil, err
 	}
-	fr := &Frame{ID: id, Data: make([]byte, PageSize), pins: 1}
 	if err := bp.file.ReadPage(id, fr.Data); err != nil {
+		bp.spare = fr
 		return nil, err
 	}
-	bp.frames[id] = fr
+	bp.admit(fr, id, false)
 	return fr, nil
 }
 
@@ -160,45 +177,81 @@ func (bp *BufferPool) Unpin(fr *Frame, dirty bool) {
 		fr.dirty = true
 	}
 	fr.pins--
-	if fr.pins == 0 {
-		if fr.elem == nil {
-			fr.elem = bp.lru.PushFront(fr)
-		} else {
-			bp.lru.MoveToFront(fr.elem)
+	if fr.pins == 0 && bp.lru.next != fr {
+		if fr.next != nil {
+			unlink(fr)
 		}
+		head := &bp.lru
+		fr.prev, fr.next = head, head.next
+		head.next.prev = fr
+		head.next = fr
 	}
 }
 
+// unlink takes fr off the LRU ring.
+func unlink(fr *Frame) {
+	fr.prev.next = fr.next
+	fr.next.prev = fr.prev
+	fr.prev, fr.next = nil, nil
+}
+
+// admit makes fr resident as page id, pinned once. Callers must hold bp.mu
+// and have taken fr from freeFrame.
+func (bp *BufferPool) admit(fr *Frame, id PageID, dirty bool) {
+	if n := int(id) + 1; n > len(bp.frames) {
+		bp.frames = append(bp.frames, make([]*Frame, n-len(bp.frames))...)
+	}
+	fr.ID, fr.pins, fr.dirty = id, 1, dirty
+	bp.frames[id] = fr
+	bp.resident++
+}
+
+// freeFrame returns an unowned frame for a page about to be loaded: the
+// spare left by the last eviction (or by a failed read) when there is one,
+// a new frame otherwise. It evicts first when the pool is full. Callers
+// must hold bp.mu.
+func (bp *BufferPool) freeFrame() (*Frame, error) {
+	if err := bp.makeRoom(); err != nil {
+		return nil, err
+	}
+	fr := bp.spare
+	if fr == nil {
+		return &Frame{Data: make([]byte, PageSize)}, nil
+	}
+	bp.spare = nil
+	return fr, nil
+}
+
 // makeRoom evicts the least recently used unpinned frame if the pool is at
-// capacity. Callers must hold bp.mu.
+// capacity, leaving it as the spare. Callers must hold bp.mu.
 func (bp *BufferPool) makeRoom() error {
-	for len(bp.frames) >= bp.capacity {
-		// Walk from the cold end, skipping frames that are pinned (they
-		// stay in the list across pin cycles) — the first unpinned frame is
-		// the least recently unpinned one, exactly the old victim choice.
-		var victim *Frame
-		for e := bp.lru.Back(); e != nil; e = e.Prev() {
-			if f := e.Value.(*Frame); f.pins == 0 {
-				victim = f
-				break
-			}
+	if bp.resident < bp.capacity {
+		return nil
+	}
+	// Walk from the cold end, skipping frames that are pinned (they keep
+	// their ring position across pin cycles): the first unpinned frame is
+	// the least recently unpinned one.
+	victim := bp.lru.prev
+	for victim != &bp.lru && victim.pins > 0 {
+		victim = victim.prev
+	}
+	if victim == &bp.lru {
+		return fmt.Errorf("%w: all %d pages pinned", ErrPoolExhausted, bp.resident)
+	}
+	if victim.dirty {
+		if err := bp.file.WritePage(victim.ID, victim.Data); err != nil {
+			return err
 		}
-		if victim == nil {
-			return fmt.Errorf("%w: all %d pages pinned", ErrPoolExhausted, len(bp.frames))
-		}
-		bp.lru.Remove(victim.elem)
-		victim.elem = nil
-		if victim.dirty {
-			if err := bp.file.WritePage(victim.ID, victim.Data); err != nil {
-				return err
-			}
-			bp.stats.Writes++
-		}
-		delete(bp.frames, victim.ID)
-		bp.stats.Evictions++
-		if bp.reg != nil {
-			bp.reg.PoolEvictions.Add(1)
-		}
+		victim.dirty = false
+		bp.stats.Writes++
+	}
+	unlink(victim)
+	bp.frames[victim.ID] = nil
+	bp.resident--
+	bp.spare = victim
+	bp.stats.Evictions++
+	if bp.reg != nil {
+		bp.reg.PoolEvictions.Add(1)
 	}
 	return nil
 }
@@ -208,7 +261,7 @@ func (bp *BufferPool) Flush() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for _, fr := range bp.frames {
-		if fr.dirty {
+		if fr != nil && fr.dirty {
 			if err := bp.file.WritePage(fr.ID, fr.Data); err != nil {
 				return err
 			}
@@ -225,7 +278,7 @@ func (bp *BufferPool) PinnedCount() int {
 	defer bp.mu.Unlock()
 	n := 0
 	for _, fr := range bp.frames {
-		if fr.pins > 0 {
+		if fr != nil && fr.pins > 0 {
 			n++
 		}
 	}

@@ -134,11 +134,13 @@ func (c *Clustered) fetchPage(id PageID, region geom.MBR, level int32, acct *IOA
 	return nil
 }
 
-// FetchIDs is Fetch collecting just the record IDs into dst (reuse a
-// buffer across queries to avoid allocation: the warm query path calls this
-// instead of passing a collector closure into Fetch). Page accounting is
-// identical to Fetch. A record's ID is decoded only when it matches.
-func (c *Clustered) FetchIDs(region geom.MBR, level int32, acct *IOAccount, dst []uint64) ([]uint64, error) {
+// FetchIDs is Fetch collecting the record IDs into ids and their MBRs into
+// the parallel boxes (reuse both buffers across queries to avoid
+// allocation: the warm query path calls this instead of passing a
+// collector closure into Fetch). Page accounting is identical to Fetch. A
+// record's MBR is decoded once, for the region test, and its ID only when
+// it matches.
+func (c *Clustered) FetchIDs(region geom.MBR, level int32, acct *IOAccount, ids []uint64, boxes []geom.MBR) ([]uint64, []geom.MBR, error) {
 	for _, meta := range c.dir {
 		if meta.minFrom > level || meta.maxTo <= level {
 			continue
@@ -148,18 +150,22 @@ func (c *Clustered) FetchIDs(region geom.MBR, level int32, acct *IOAccount, dst 
 		}
 		fr, err := c.pool.Get(meta.id, acct)
 		if err != nil {
-			return dst, err
+			return ids, boxes, err
 		}
 		n := count(fr.Data)
 		for i := 0; i < n; i++ {
 			p := clusterRecAt(fr.Data, i)
-			if recValidAt(p, level) && recMBR(p).Intersects(region) {
-				dst = append(dst, binary.LittleEndian.Uint64(p[0:]))
+			if !recValidAt(p, level) {
+				continue
+			}
+			if m := recMBR(p); m.Intersects(region) {
+				ids = append(ids, binary.LittleEndian.Uint64(p[0:]))
+				boxes = append(boxes, m)
 			}
 		}
 		c.pool.Unpin(fr, false)
 	}
-	return dst, nil
+	return ids, boxes, nil
 }
 
 // FetchCount is Fetch that only counts matching records — the warm-path

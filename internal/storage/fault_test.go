@@ -236,5 +236,18 @@ func TestClusteredFetchAgainstBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: missing record %d", trial, id)
 			}
 		}
+		// FetchIDs selects the same records, each with its stored MBR.
+		ids, boxes, err := c.FetchIDs(region, level, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != len(want) || len(boxes) != len(ids) {
+			t.Fatalf("trial %d: FetchIDs gave %d ids, %d boxes, want %d", trial, len(ids), len(boxes), len(want))
+		}
+		for i, id := range ids {
+			if !want[id] || boxes[i] != oracle[id].MBR {
+				t.Fatalf("trial %d: FetchIDs record %d box %+v, want selected with %+v", trial, id, boxes[i], oracle[id].MBR)
+			}
+		}
 	}
 }

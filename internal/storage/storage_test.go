@@ -1,10 +1,10 @@
 package storage
 
 import (
-	"sync"
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"surfknn/internal/geom"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the full verification gate, exactly what CI runs.
 #
-#   build → vet → sklint (self-hosted lint) → race tests → parallel-bench
-#   smoke → debug endpoint smoke → server smoke → fuzz smoke
+#   build → gofmt → vet → sklint (self-hosted lint) → race tests →
+#   parallel-bench smoke → allocation budget → debug endpoint smoke →
+#   server smoke → shard fleet smoke → fuzz smoke
 #
 # Fail-fast: the first failing stage aborts the run with its exit code.
 set -euo pipefail
@@ -11,6 +12,15 @@ cd "$(dirname "$0")/.."
 
 echo "== build =="
 go build ./...
+
+echo "== gofmt =="
+# Every Go file in the module (test fixtures included) must be gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that are not formatted:" >&2
+    printf '%s\n' "$unformatted" >&2
+    exit 1
+fi
 
 echo "== vet =="
 go vet ./...
@@ -68,11 +78,11 @@ echo "== allocation budget =="
 # capacity), not cold growth. The AllocsPerRun tests pin the same property
 # per query; this stage pins it on the benchmark workload CI already runs.
 # BenchmarkSDNLowerBound pins the SDN chain kernel on its own.
-# BenchmarkKNNUnderUpdates stays out: its store changes size under the
-# update mix, so session slabs still grow now and then after warm-up
-# (a few allocs/op that fall with -benchtime). The updated-epoch search
-# itself is pinned at 0 by objstore's AllocsPerRun test.
-alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|SDNLowerBound$|DijkstraCSR$|RTreeKNN$' -benchtime=50x -benchmem .)
+# BenchmarkColdPoolKNN pins the buffer-pool miss path: a 100-page pool
+# evicts on most page reads, and each miss reuses the evicted frame.
+# BenchmarkKNNUnderUpdates pins queries on updated (non-quiesced) epochs
+# while the store changes size under the update mix.
+alloc_out=$(go test -run '^$' -bench 'SequentialKNN$|SDNLowerBound$|DijkstraCSR$|RTreeKNN$|ColdPoolKNN$|KNNUnderUpdates$' -benchtime=50x -benchmem .)
 printf '%s\n' "$alloc_out"
 bad=$(printf '%s\n' "$alloc_out" | awk '/allocs\/op/ && $(NF-1) != 0 {print $1, $(NF-1)}')
 if [ -n "$bad" ]; then
