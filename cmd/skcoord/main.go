@@ -19,7 +19,10 @@
 // carry addresses needs no -addrs. Updates through the coordinator are
 // routed to the owning tile under fleet-wide lockstep epochs; when a shard
 // is down, queries that need it answer 503 shard_unavailable rather than a
-// silently partial result. Metrics are at /debug/vars under
+// silently partial result. Requests go through the same front end as
+// skserve's (internal/server), so a bad request gets the same 400 or 404
+// envelope from either binary. Metrics are at /debug/vars: the front end's
+// request lifecycle under "surfknn_server", the fan-out under
 // "surfknn_coord".
 package main
 
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"surfknn/internal/obs"
+	"surfknn/internal/server"
 	"surfknn/internal/shard"
 )
 
@@ -87,6 +91,10 @@ func main() {
 	if err := stats.Publish("surfknn_coord"); err != nil {
 		log.Fatal(err)
 	}
+	srvStats := obs.NewServerStats()
+	if err := srvStats.Publish("surfknn_server"); err != nil {
+		log.Fatal(err)
+	}
 	coord, err := shard.New(shard.Config{
 		Manifest:     man,
 		ShardTimeout: *timeout,
@@ -104,10 +112,7 @@ func main() {
 	}
 	fmt.Printf("fleet: %dx%d tiles, %d shards verified\n", man.NX, man.NY, len(man.Shards))
 
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", http.DefaultServeMux) // expvar registers there
-	mux.Handle("/", coord.Handler())
-	hs := &http.Server{Handler: mux}
+	srv := coord.Server(server.Config{Stats: srvStats})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -120,7 +125,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	go func() { serveErr <- srv.Serve(ln) }()
 
 	select {
 	case err := <-serveErr:
@@ -131,7 +136,7 @@ func main() {
 	fmt.Printf("# shutting down: draining in-flight requests (grace %v)\n", *grace)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
+	if err := srv.Shutdown(shutCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -398,7 +398,7 @@ func printDiag(src string, err error) {
 		fmt.Fprintf(os.Stderr, "skquery: %v\n%s\n", le, sklang.Caret(src, le.Pos))
 		return
 	}
-	var apiErr *client.APIError
+	var apiErr *api.Error
 	if errors.As(err, &apiErr) && apiErr.Line > 0 {
 		fmt.Fprintf(os.Stderr, "skquery: %s\n%s\n", apiErr.Message,
 			sklang.Caret(src, sklang.Position{Line: apiErr.Line, Col: apiErr.Col}))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"surfknn/internal/dem"
+	"surfknn/internal/workload"
 )
 
 // TestWarmSessionKNNAllocFree pins the flat-buffer refactor's core promise:
@@ -59,5 +60,44 @@ func TestWarmSessionRangeAllocFree(t *testing.T) {
 		qi++
 	}); n != 0 {
 		t.Fatalf("warm Session SurfaceRange allocates %.1f times per query, want 0", n)
+	}
+}
+
+// TestWarmSessionShardFiltersAllocFree pins the shard fabric's 2-D filters
+// (MR3 steps 1 and 3 run alone) to the session's scratch: once warm,
+// KNN2D and Range2D each answer without allocating, on a quiesced epoch and
+// on one carrying an update delta.
+func TestWarmSessionShardFiltersAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	db := buildDB(t, dem.BH, 16, 60, 2006)
+	qs := queryPoints(t, db, 4, 77)
+	s := db.NewSession(nil)
+	for _, delta := range []bool{false, true} {
+		if delta {
+			moved := db.Objects()[0]
+			moved.ID = 1 << 40
+			db.ObjectStore().Upsert([]workload.Object{moved})
+		}
+		for _, q := range qs { // warm
+			s.KNN2D(q.XY(), 5)
+			s.Range2D(q.XY(), 250)
+		}
+		qi := 0
+		if n := testing.AllocsPerRun(20, func() {
+			if objs, _ := s.KNN2D(qs[qi%len(qs)].XY(), 5); len(objs) != 5 {
+				t.Fatalf("KNN2D returned %d objects, want 5", len(objs))
+			}
+			qi++
+		}); n != 0 {
+			t.Errorf("delta=%t: warm Session KNN2D allocates %.1f times per call, want 0", delta, n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			s.Range2D(qs[qi%len(qs)].XY(), 250)
+			qi++
+		}); n != 0 {
+			t.Errorf("delta=%t: warm Session Range2D allocates %.1f times per call, want 0", delta, n)
+		}
 	}
 }

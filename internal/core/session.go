@@ -117,11 +117,7 @@ func (s *Session) beginQuery(ctx context.Context, algo string) {
 	s.io = storage.IOAccount{}
 	s.dxyVisits = 0
 	s.step3Radius = 0
-	s.releaseView() // defensive: a panicked query may have left a pin
-	if s.db.store != nil {
-		s.view = s.db.store.Pin()
-		s.ensureScratch(s.view.Peak())
-	}
+	s.pinView()
 	if reg := s.db.reg; reg != nil {
 		reg.QueriesStarted.Add(1)
 	}
@@ -149,6 +145,16 @@ func (s *Session) endQuery(algo string, k int, ns []Neighbor, err error) (Result
 		return Result{}, err
 	}
 	return Result{Neighbors: ns, Cost: cost, Trace: s.cost.trace, Epoch: epoch}, nil
+}
+
+// pinView pins the current object epoch (none without an object store) and
+// sizes the query-path scratch for it.
+func (s *Session) pinView() {
+	s.releaseView() // defensive: a panicked query may have left a pin
+	if s.db.store != nil {
+		s.view = s.db.store.Pin()
+		s.ensureScratch(s.view.Peak())
+	}
 }
 
 // releaseView unpins the query's object epoch, if any.

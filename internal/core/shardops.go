@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"surfknn/internal/geom"
-	"surfknn/internal/index"
 	"surfknn/internal/mesh"
 	"surfknn/internal/stats"
 	"surfknn/internal/workload"
@@ -20,47 +19,37 @@ import (
 // the 2-D filters (steps 1 and 3) run per shard over each shard's own
 // object partition, and the rankings (steps 2 and 4) run on any one shard
 // holding the full terrain, over candidates gathered from all of them.
-// These helpers are coordination-path code, not the annotated hot path:
-// they allocate their results.
+// The 2-D filters run on the session's scratch: their results alias it
+// until the session's next query or Release, exactly like a Result's
+// neighbours, so a warm session answers them without allocating.
 
 // KNN2D runs MR3 step 1 alone: the k live objects nearest to q's (x,y)
 // projection in ascending planar distance, read from one pinned epoch whose
 // number is returned alongside. A database with no object store (or k < 1)
 // returns an empty set at epoch 0.
-func (db *TerrainDB) KNN2D(q geom.Vec2, k int) ([]workload.Object, uint64) {
-	if db.store == nil || k < 1 {
-		return nil, db.CurrentEpoch()
+func (s *Session) KNN2D(q geom.Vec2, k int) ([]workload.Object, uint64) {
+	if s.db.store == nil || k < 1 {
+		return nil, s.db.CurrentEpoch()
 	}
-	e := db.store.Pin()
-	defer e.Release()
-	var sc index.Scratch
-	items := e.KNNInto(q, k, nil, &sc, nil)
-	out := make([]workload.Object, 0, len(items))
-	for _, it := range items {
-		if o, ok := e.Object(it.ID); ok {
-			out = append(out, o)
-		}
-	}
-	return out, e.Seq()
+	s.pinView()
+	defer s.releaseView()
+	s.items = s.view.KNNInto(q, k, nil, &s.knnSc, s.items[:0])
+	s.objs = s.viewObjectsInto(s.items, s.objs)
+	return s.objs, s.view.Seq()
 }
 
 // Range2D runs MR3 step 3 alone: every live object within planar distance
 // radius of q, in index traversal order, read from one pinned epoch whose
 // number is returned alongside.
-func (db *TerrainDB) Range2D(q geom.Vec2, radius float64) ([]workload.Object, uint64) {
-	if db.store == nil || radius < 0 {
-		return nil, db.CurrentEpoch()
+func (s *Session) Range2D(q geom.Vec2, radius float64) ([]workload.Object, uint64) {
+	if s.db.store == nil || radius < 0 {
+		return nil, s.db.CurrentEpoch()
 	}
-	e := db.store.Pin()
-	defer e.Release()
-	items := e.WithinDistInto(q, radius, nil, nil)
-	out := make([]workload.Object, 0, len(items))
-	for _, it := range items {
-		if o, ok := e.Object(it.ID); ok {
-			out = append(out, o)
-		}
-	}
-	return out, e.Seq()
+	s.pinView()
+	defer s.releaseView()
+	s.items = s.view.WithinDistInto(q, radius, nil, s.items[:0])
+	s.objs = s.viewObjectsInto(s.items, s.objs)
+	return s.objs, s.view.Seq()
 }
 
 // RankCandidatesCtx runs MR3 step 2 or 4 alone: it ranks the supplied

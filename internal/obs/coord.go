@@ -7,52 +7,39 @@ import (
 )
 
 // CoordStats is the metric group of the scatter-gather coordinator
-// (internal/shard): how many public requests it answered, how its fan-out
-// behaved (shard calls issued, shards pruned by the search-region bound,
-// shard failures after retries), and how often it had to refuse a degraded
-// answer. It complements ServerStats — which each shard keeps for its own
-// HTTP surface — with the fleet-level view only the coordinator has.
+// (internal/shard): how many answers it assembled, how its fan-out behaved
+// (shard calls issued, shards pruned by the search-region bound, shard
+// failures after retries), and how often it had to refuse a degraded
+// answer. Request lifecycle — counts, bad requests, latency — is the
+// front end's, in ServerStats; this group keeps the fleet-level view only
+// the coordinator has.
 //
 // All fields are updated atomically through their methods; the sklint
-// obs-atomic rule forbids direct writes. The zero value is NOT ready for
-// use — create with NewCoordStats.
+// obs-atomic rule forbids direct writes. The zero value is ready for use.
 type CoordStats struct {
-	// Public request lifecycle.
-	Requests    Counter
-	BadRequests Counter // rejected by validation (HTTP 400/404)
-	Queries     Counter // knn/range/distance answered OK
-	Updates     Counter // object batches applied fleet-wide
+	Queries Counter // knn/range/ea/distance answers assembled
+	Updates Counter // object batches applied fleet-wide
 
 	// Fan-out behaviour.
 	ShardCalls   Counter // shard RPCs issued (retries counted by the client)
-	ShardErrors  Counter // shard RPCs that failed after retries
+	ShardErrors  Counter // shard RPCs that failed after retries (a shard's 4xx verdict is an answer, not a failure)
 	PrunedShards Counter // shards skipped because the search region missed their tile
 	Degraded     Counter // answers refused because a required shard was down (HTTP 503)
-
-	latency *Histogram // whole-request wall latency, fan-out included
 
 	publishOnce sync.Once
 }
 
 // NewCoordStats returns an empty metric group ready for concurrent use.
-func NewCoordStats() *CoordStats {
-	return &CoordStats{latency: NewHistogram()}
-}
-
-// RequestLatency is the whole-request wall-latency histogram.
-func (s *CoordStats) RequestLatency() *Histogram { return s.latency }
+func NewCoordStats() *CoordStats { return &CoordStats{} }
 
 // Snapshot renders the group as a nested map, the value Publish exposes
 // through expvar.
 func (s *CoordStats) Snapshot() map[string]any {
 	return map[string]any{
-		"requests": map[string]any{
-			"total":      s.Requests.Value(),
-			"bad":        s.BadRequests.Value(),
-			"queries":    s.Queries.Value(),
-			"updates":    s.Updates.Value(),
-			"degraded":   s.Degraded.Value(),
-			"latency_us": s.latency.Snapshot(),
+		"answers": map[string]any{
+			"queries":  s.Queries.Value(),
+			"updates":  s.Updates.Value(),
+			"degraded": s.Degraded.Value(),
 		},
 		"fanout": map[string]any{
 			"shard_calls":   s.ShardCalls.Value(),

@@ -1,5 +1,10 @@
 package api
 
+import (
+	"fmt"
+	"strings"
+)
+
 // ErrorEnvelope is the typed JSON error body every non-2xx response
 // carries:
 //
@@ -45,3 +50,31 @@ const (
 	CodeInternal         = "internal"          // engine failure or recovered panic (500)
 	CodeShardUnavailable = "shard_unavailable" // a required shard is down; answer would be partial (503)
 )
+
+// Error is a non-2xx answer as one Go value: the HTTP status, the
+// Retry-After hint, and the envelope body. It is the only error type that
+// crosses the wire. The serving front end writes any *Error verbatim, the
+// typed client decodes every non-2xx envelope into one, and the coordinator
+// relays a shard's verdict as the *Error it received.
+type Error struct {
+	Status int // HTTP status code
+	// RetryAfter is the Retry-After hint in whole seconds on a refusal the
+	// client may retry (429 saturated, 503 shard_unavailable); zero sends
+	// no header.
+	RetryAfter int
+	ErrorBody
+}
+
+// Errorf builds an *Error with a formatted message.
+func Errorf(status int, code, format string, args ...any) *Error {
+	return &Error{Status: status, ErrorBody: ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}}
+}
+
+func (e *Error) Error() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (%d): %s", e.Code, e.Status, e.Message)
+	for _, s := range e.Shards {
+		fmt.Fprintf(&b, "; %s: %s", s.Shard, s.Error)
+	}
+	return b.String()
+}

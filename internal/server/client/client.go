@@ -7,7 +7,7 @@
 // Every call takes a context (deadline and cancellation propagate to the
 // HTTP request), surfaces the response's X-Epoch and X-Cache headers in a
 // Meta, retries 429s honouring the server's Retry-After header, and turns
-// non-2xx envelopes into *APIError values the caller can switch on.
+// non-2xx envelopes into *api.Error values the caller can switch on.
 package client
 
 import (
@@ -81,26 +81,6 @@ type Meta struct {
 	Epoch      uint64
 	Cache      string
 	SafeRegion string
-}
-
-// APIError is a non-2xx response decoded from the server's error envelope.
-type APIError struct {
-	Status  int              // HTTP status code
-	Code    string           // api.Code* constant
-	Message string           // human-readable detail
-	Shards  []api.ShardError // per-shard failures on a degraded scatter-gather answer
-	// Line/Col/Token locate the offending token of a rejected SKQL
-	// statement (the /v1/query and /v1/explain routes); zero otherwise.
-	Line  int
-	Col   int
-	Token string
-}
-
-func (e *APIError) Error() string {
-	if len(e.Shards) > 0 {
-		return fmt.Sprintf("%s (%d): %s [%d shards failed]", e.Code, e.Status, e.Message, len(e.Shards))
-	}
-	return fmt.Sprintf("%s (%d): %s", e.Code, e.Status, e.Message)
 }
 
 // Query executes one SKQL statement (POST /v1/query).
@@ -239,12 +219,13 @@ func (c *Client) do(ctx context.Context, method, path string, reqBody, respBody 
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		meta, retryAfter, err := c.once(ctx, method, path, payload, respBody)
-		var apiErr *APIError
+		meta, err := c.once(ctx, method, path, payload, respBody)
+		var apiErr *api.Error
 		if err == nil || attempt >= c.retries ||
 			!errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests {
 			return meta, err
 		}
+		retryAfter := time.Duration(apiErr.RetryAfter) * time.Second
 		if retryAfter > c.wait {
 			retryAfter = c.wait
 		}
@@ -256,23 +237,22 @@ func (c *Client) do(ctx context.Context, method, path string, reqBody, respBody 
 	}
 }
 
-// once runs a single HTTP exchange. retryAfter is the server-requested
-// pause on a 429 (zero otherwise).
-func (c *Client) once(ctx context.Context, method, path string, payload []byte, respBody any) (Meta, time.Duration, error) {
+// once runs a single HTTP exchange.
+func (c *Client) once(ctx context.Context, method, path string, payload []byte, respBody any) (Meta, error) {
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return Meta{}, 0, fmt.Errorf("client: building %s request: %w", path, err)
+		return Meta{}, fmt.Errorf("client: building %s request: %w", path, err)
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return Meta{}, 0, fmt.Errorf("client: %s %s: %w", method, path, err)
+		return Meta{}, fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 
@@ -284,34 +264,26 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return meta, 0, fmt.Errorf("client: reading %s response: %w", path, err)
+		return meta, fmt.Errorf("client: reading %s response: %w", path, err)
 	}
 	if resp.StatusCode/100 != 2 {
-		apiErr := &APIError{Status: resp.StatusCode}
+		apiErr := &api.Error{Status: resp.StatusCode}
 		var env api.ErrorEnvelope
 		if json.Unmarshal(raw, &env) == nil && env.Error.Code != "" {
-			apiErr.Code = env.Error.Code
-			apiErr.Message = env.Error.Message
-			apiErr.Shards = env.Error.Shards
-			apiErr.Line = env.Error.Line
-			apiErr.Col = env.Error.Col
-			apiErr.Token = env.Error.Token
+			apiErr.ErrorBody = env.Error
 		} else {
 			apiErr.Code = api.CodeInternal
 			apiErr.Message = strings.TrimSpace(string(raw))
 		}
-		var retryAfter time.Duration
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-				retryAfter = time.Duration(secs) * time.Second
-			}
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+			apiErr.RetryAfter = secs
 		}
-		return meta, retryAfter, apiErr
+		return meta, apiErr
 	}
 	if respBody != nil {
 		if err := json.Unmarshal(raw, respBody); err != nil {
-			return meta, 0, fmt.Errorf("client: decoding %s response: %w", path, err)
+			return meta, fmt.Errorf("client: decoding %s response: %w", path, err)
 		}
 	}
-	return meta, 0, nil
+	return meta, nil
 }

@@ -4,46 +4,49 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+	"strconv"
 
-	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
 )
 
-// The envelope shape and the error codes are part of the wire contract and
-// live in internal/server/api; this file is the server-side emission path.
+// The envelope shape, the error codes and the *api.Error value are part of
+// the wire contract and live in internal/server/api; this file is the one
+// emission path for every backend.
 
-// writeError emits the error envelope with the given status. Encoding into
-// a fixed struct cannot fail, so the reply is always well-formed JSON.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	writeEnvelope(w, api.ErrorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	})
+// fail writes err as the response and counts it: a *api.Error verbatim
+// (with its Retry-After hint), a context error as 408 — the request's own
+// deadline fired or the client went away — and anything else as 500, since
+// by the time a backend runs, validation has vetted the parameters.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var e *api.Error
+	switch {
+	case errors.As(err, &e):
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		e = api.Errorf(http.StatusRequestTimeout, api.CodeTimeout, "query aborted: %v", err)
+	default:
+		e = api.Errorf(http.StatusInternalServerError, api.CodeInternal, "query failed: %v", err)
+	}
+	switch e.Status {
+	case http.StatusBadRequest, http.StatusNotFound:
+		s.stats.BadRequests.Add(1)
+	case http.StatusRequestTimeout:
+		s.stats.TimedOut.Add(1)
+	case http.StatusTooManyRequests:
+		s.stats.Rejected.Add(1)
+	}
+	writeError(w, e)
 }
 
-// writeEnvelope encodes an already-assembled error body (status and
-// Content-Type must be written first). The SKQL routes use it directly to
-// attach the parse position fields.
-func writeEnvelope(w http.ResponseWriter, body api.ErrorBody) {
-	enc := json.NewEncoder(w)
+// writeError emits e's envelope with its status. Encoding into a fixed
+// struct cannot fail, so the reply is always well-formed JSON.
+func writeError(w http.ResponseWriter, e *api.Error) {
+	if e.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.RetryAfter))
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(e.Status)
 	// The client may already be gone; nothing useful to do with the error.
 	//lint:ignore dropped-error the reply path has no caller to surface a write error to
-	_ = enc.Encode(api.ErrorEnvelope{Error: body})
-}
-
-// writeQueryError maps an engine error onto the right status code:
-// cancellation and deadline become 408 (the request's own timeout fired or
-// the client went away), anything else is a 500 — by the time a query runs,
-// validation has already vetted the parameters.
-func writeQueryError(w http.ResponseWriter, stats *obs.ServerStats, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		stats.TimedOut.Add(1)
-		writeError(w, http.StatusRequestTimeout, api.CodeTimeout, "query aborted: %v", err)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, api.CodeInternal, "query failed: %v", err)
+	_ = json.NewEncoder(w).Encode(api.ErrorEnvelope{Error: e.ErrorBody})
 }

@@ -1,142 +1,117 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"surfknn/internal/core"
-	"surfknn/internal/geom"
-	"surfknn/internal/mesh"
 	"surfknn/internal/server/api"
 	"surfknn/internal/sklang/skexec"
 )
 
 // The wire shapes themselves live in internal/server/api — the one
 // importable definition of every request and response body, shared with the
-// typed client and the scatter-gather coordinator. This file maps them onto
-// the engine: validation, option translation, admission, caching, and the
-// handlers for the public query routes.
+// typed client and the scatter-gather coordinator. This file is the front
+// end's half of the typed routes: decoding, validation, caching and
+// response writing. What a query means is the backend's business.
 
 // maxK bounds the k a client may request; anything larger is a typo or an
 // attack, not a query.
 const maxK = 1 << 20
 
-// maxBodyBytes bounds request bodies for the point-query routes; every
-// valid request is a few hundred bytes.
+// maxBodyBytes bounds request bodies for the public routes; every valid
+// request is a few hundred bytes.
 const maxBodyBytes = 1 << 20
 
-// maxShardBodyBytes bounds the shard-fabric request bodies, which carry
-// gathered candidate sets (see shard.go) and so are legitimately larger.
-const maxShardBodyBytes = 16 << 20
+// maxUpdateBatch bounds how many objects one update request may carry.
+// Larger batches should be split client-side; one epoch per batch means an
+// unbounded batch would also be an unbounded copy-on-write delta.
+const maxUpdateBatch = 4096
 
-// coreOptions maps the wire options onto core.Options, validating
-// fractions. The mapping lives in skexec so the SKQL plan executor and the
-// /v1 handlers translate a client's options identically — the /v1/query
-// bit-identity guarantee depends on it.
-func coreOptions(o *api.Options) (core.Options, error) {
-	return skexec.CoreOptions(o)
-}
-
-// schedFor resolves the request's schedule number (default 1, matching
-// skquery).
-func schedFor(n int) (core.Schedule, bool) {
-	return skexec.Schedule(n)
-}
-
-// toResponse maps an engine result onto the wire.
-func toResponse(res core.Result) api.Result {
-	out := api.Result{
-		Neighbors: make([]api.Neighbor, len(res.Neighbors)),
-		Cost: api.Cost{
-			Pages:     res.Cost.Pages(),
-			CPUUs:     res.Cost.CPU.Microseconds(),
-			ElapsedUs: res.Cost.Elapsed.Microseconds(),
-		},
-	}
-	for i, n := range res.Neighbors {
-		out.Neighbors[i] = api.Neighbor{
-			ID: n.Object.ID,
-			X:  n.Object.Point.Pos.X,
-			Y:  n.Object.Point.Pos.Y,
-			Z:  n.Object.Point.Pos.Z,
-			LB: api.Float(n.LB),
-			UB: api.Float(n.UB),
-		}
-	}
-	return out
-}
-
-// decode reads and validates the JSON request body into dst. Unknown
-// fields are errors — a misspelled option silently falling back to a
-// default is worse than a 400. Returns false with the 400 already written.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	return s.decodeLimited(w, r, dst, maxBodyBytes)
-}
-
-func (s *Server) decodeLimited(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
+// decode reads the JSON request body into dst, bounded by limit bytes.
+// Unknown fields are errors — a misspelled option silently falling back to
+// a default is worse than a 400.
+func decode(w http.ResponseWriter, r *http.Request, dst any, limit int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "invalid request body: %v", err)
-		return false
+		return badRequest("invalid request body: %v", err)
 	}
 	if dec.More() {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "trailing data after request body")
-		return false
+		return badRequest("trailing data after request body")
 	}
-	return true
+	return nil
 }
 
-// badRequest writes a 400 envelope and counts it.
-func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
-	s.stats.BadRequests.Add(1)
-	writeError(w, http.StatusBadRequest, api.CodeBadRequest, format, args...)
+// badRequest builds the 400 envelope.
+func badRequest(format string, args ...any) *api.Error {
+	return api.Errorf(http.StatusBadRequest, api.CodeBadRequest, format, args...)
 }
 
-// surfacePoint lifts (x,y) onto the terrain; a point outside the surface
-// extent is a 404 — the addressed surface location does not exist.
-func (s *Server) surfacePoint(w http.ResponseWriter, x, y float64) (mesh.SurfacePoint, bool) {
-	q, err := s.db.SurfacePointAt(geom.Vec2{X: x, Y: y})
+func checkK(k int) error {
+	if k < 1 || k > maxK {
+		return badRequest("k must be in [1, %d], got %d", maxK, k)
+	}
+	return nil
+}
+
+func checkRadius(r float64) error {
+	if !(r > 0) || math.IsInf(r, 1) {
+		return badRequest("radius must be a positive finite distance, got %g", r)
+	}
+	return nil
+}
+
+// checkSched resolves the request's schedule number (default 1, matching
+// skquery).
+func checkSched(n int) (core.Schedule, error) {
+	sched, ok := skexec.Schedule(n)
+	if !ok {
+		return sched, badRequest("sched must be 1, 2 or 3, got %d", n)
+	}
+	return sched, nil
+}
+
+// checkOptions maps the wire options onto core.Options, validating
+// fractions. The mapping lives in skexec so the SKQL plan executor and the
+// /v1 handlers translate a client's options identically — the /v1/query
+// bit-identity guarantee depends on it.
+func checkOptions(o *api.Options) (core.Options, error) {
+	opt, err := skexec.CoreOptions(o)
 	if err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "point (%g, %g) is not on the terrain: %v", x, y, err)
-		return mesh.SurfacePoint{}, false
+		return opt, badRequest("invalid options: %v", err)
 	}
-	return q, true
+	return opt, nil
 }
 
-// admit claims an execution slot, writing the 429/408 refusal itself.
-// Callers must release on true.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter) bool {
-	err := s.adm.acquire(ctx)
-	switch {
-	case err == nil:
-		return true
-	case errors.Is(err, errSaturated):
-		s.stats.Rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, api.CodeSaturated,
-			"server saturated (%d executing, %d queued); retry later",
-			s.cfg.MaxInFlight, s.cfg.QueueDepth)
-	default: // request context ended while queued
-		s.stats.TimedOut.Add(1)
-		writeError(w, http.StatusRequestTimeout, api.CodeTimeout, "request ended while queued: %v", err)
+// checkQuery validates the parameters every ranked query shares.
+func checkQuery(sched int, o *api.Options) (core.Schedule, core.Options, error) {
+	s, err := checkSched(sched)
+	if err != nil {
+		return s, core.Options{}, err
 	}
-	return false
+	opt, err := checkOptions(o)
+	return s, opt, err
+}
+
+// checkBatch bounds an update batch of n entries in the named field.
+func checkBatch(n int, field, entry string) error {
+	if n == 0 {
+		return badRequest("%s must contain at least one %s", field, entry)
+	}
+	if n > maxUpdateBatch {
+		return badRequest("batch of %d %s exceeds the limit of %d", n, field, maxUpdateBatch)
+	}
+	return nil
 }
 
 // optKey canonicalizes options into the cache key. Float fractions are
 // keyed by their exact bits; the unset/sentinel encoding is keyed as-is,
-// which is canonical because coreOptions maps each client value to exactly
+// which is canonical because CoreOptions maps each client value to exactly
 // one encoding.
 func optKey(o core.Options) string {
 	return fmt.Sprintf("s2a=%x,ovl=%x,io=%t,dlb=%t,bfl=%t",
@@ -158,142 +133,91 @@ func setEpoch(w http.ResponseWriter, epoch uint64) {
 	w.Header().Set("X-Epoch", strconv.FormatUint(epoch, 10))
 }
 
-// --- POST /v1/knn ---
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	var req api.KNNRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
-	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
-	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
-	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-
-	suffix := fmt.Sprintf("knn|x=%x|y=%x|k=%d|sched=%s|%s",
-		math.Float64bits(req.X), math.Float64bits(req.Y), req.K, sched.Name, optKey(opt))
-	epoch := s.db.CurrentEpoch()
-	if body, ok := s.cache.get(epochKey(epoch, suffix)); ok {
+// cached serves a cache hit for suffix at the current epoch, reporting
+// whether there was one.
+func (s *Server) cached(w http.ResponseWriter, suffix string) bool {
+	epoch := s.b.Epoch()
+	body, ok := s.cache.get(epochKey(epoch, suffix))
+	if ok {
 		setEpoch(w, epoch)
 		writeJSON(w, body, "hit")
-		return
 	}
+	return ok
+}
 
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
+// --- POST /v1/knn ---
+
+func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) error {
+	var req api.KNNRequest
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.MR3Ctx(ctx, q, req.K, sched, opt)
+	if err := checkK(req.K); err != nil {
+		return err
+	}
+	sched, opt, err := checkQuery(req.Sched, req.Options)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return err
+	}
+	suffix := fmt.Sprintf("knn|x=%x|y=%x|k=%d|sched=%s|%s",
+		math.Float64bits(req.X), math.Float64bits(req.Y), req.K, sched.Name, optKey(opt))
+	if s.cached(w, suffix) {
+		return nil
+	}
+	res, epoch, err := s.b.KNN(r.Context(), req)
+	if err != nil {
+		return err
 	}
 	// Cache under the epoch the query actually pinned (an update may have
-	// landed between the lookup above and session checkout).
-	setEpoch(w, res.Epoch)
-	s.respond(w, epochKey(res.Epoch, suffix), toResponse(res))
+	// landed between the lookup above and the query).
+	setEpoch(w, epoch)
+	return s.respond(w, epochKey(epoch, suffix), res)
 }
 
 // --- POST /v1/range ---
 
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) error {
 	var req api.RangeRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	if !(req.Radius > 0) || math.IsInf(req.Radius, 1) {
-		s.badRequest(w, "radius must be a positive finite distance, got %g", req.Radius)
-		return
+	if err := checkRadius(req.Radius); err != nil {
+		return err
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+	sched, opt, err := checkQuery(req.Sched, req.Options)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-
 	suffix := fmt.Sprintf("range|x=%x|y=%x|r=%x|sched=%s|%s",
 		math.Float64bits(req.X), math.Float64bits(req.Y), math.Float64bits(req.Radius),
 		sched.Name, optKey(opt))
-	epoch := s.db.CurrentEpoch()
-	if body, ok := s.cache.get(epochKey(epoch, suffix)); ok {
-		setEpoch(w, epoch)
-		writeJSON(w, body, "hit")
-		return
+	if s.cached(w, suffix) {
+		return nil
 	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.SurfaceRangeCtx(ctx, q, req.Radius, sched, opt)
+	res, epoch, err := s.b.Range(r.Context(), req)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return err
 	}
-	setEpoch(w, res.Epoch)
-	s.respond(w, epochKey(res.Epoch, suffix), toResponse(res))
+	setEpoch(w, epoch)
+	return s.respond(w, epochKey(epoch, suffix), res)
 }
 
 // --- POST /v1/distance ---
 
-func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) error {
 	var req api.DistanceRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	acc := req.Accuracy
-	if acc == 0 {
-		acc = 0.9
+	if req.Accuracy == 0 {
+		req.Accuracy = 0.9
 	}
-	if !(acc > 0 && acc <= 1) {
-		s.badRequest(w, "accuracy must be in (0, 1], got %g", req.Accuracy)
-		return
+	if !(req.Accuracy > 0 && req.Accuracy <= 1) {
+		return badRequest("accuracy must be in (0, 1], got %g", req.Accuracy)
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	a, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-	b, ok := s.surfacePoint(w, req.X2, req.Y2)
-	if !ok {
-		return
+	sched, err := checkSched(req.Sched)
+	if err != nil {
+		return err
 	}
 
 	// Surface distance depends only on the immutable terrain, never on the
@@ -302,73 +226,92 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("distance|a=%x,%x|b=%x,%x|acc=%x|sched=%s",
 		math.Float64bits(req.X), math.Float64bits(req.Y),
 		math.Float64bits(req.X2), math.Float64bits(req.Y2),
-		math.Float64bits(acc), sched.Name)
+		math.Float64bits(req.Accuracy), sched.Name)
 	if body, ok := s.cache.get(key); ok {
 		writeJSON(w, body, "hit")
-		return
+		return nil
 	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	dr, err := sess.DistanceWithAccuracyCtx(ctx, a, b, acc, sched)
+	res, epoch, err := s.b.Distance(r.Context(), req)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return err
 	}
-	s.respond(w, key, api.DistanceResponse{
-		LB:       api.Float(dr.LB),
-		UB:       api.Float(dr.UB),
-		Accuracy: dr.Accuracy, Iterations: dr.Iterations,
-	})
+	setEpoch(w, epoch)
+	return s.respond(w, key, res)
 }
 
-// respond marshals, caches and writes a fresh (non-cached) result.
-func (s *Server) respond(w http.ResponseWriter, key string, v any) {
-	body, err := marshalBody(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "encoding response: %v", err)
-		return
+// --- POST/DELETE /v1/objects ---
+
+// Updates are never cached and carry no X-Cache header.
+
+func (s *Server) handleUpsertObjects(w http.ResponseWriter, r *http.Request) error {
+	var req api.UpsertRequest
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	s.cache.put(key, body)
-	writeJSON(w, body, "miss")
+	if err := checkBatch(len(req.Objects), "objects", "object"); err != nil {
+		return err
+	}
+	res, err := s.b.Upsert(r.Context(), req)
+	if err != nil {
+		return err
+	}
+	setEpoch(w, res.Epoch)
+	return writeBody(w, res)
 }
 
-// writeBody marshals and writes a response that is neither cached nor a
-// query result: no X-Cache header.
-func writeBody(w http.ResponseWriter, v any) {
-	body, err := marshalBody(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "encoding response: %v", err)
-		return
+func (s *Server) handleDeleteObjects(w http.ResponseWriter, r *http.Request) error {
+	var req api.DeleteRequest
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore dropped-error a client gone mid-reply is not a server failure
-	_, _ = w.Write(body)
+	if err := checkBatch(len(req.IDs), "ids", "object id"); err != nil {
+		return err
+	}
+	res, err := s.b.Delete(r.Context(), req)
+	if err != nil {
+		return err
+	}
+	setEpoch(w, res.Epoch)
+	return writeBody(w, res)
 }
 
 // --- GET /v1/healthz ---
 
-// handleHealthz reports liveness, the loaded snapshot's shape and
-// provenance, and the shard identity when this process serves one tile of a
-// sharded deployment. The endpoint bypasses admission control and the
-// cache: a saturated server is alive, and a health check must say so.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeBody(w, api.Healthz{
-		Status:        "ok",
-		Vertices:      s.db.Mesh.NumVerts(),
-		Faces:         s.db.Mesh.NumFaces(),
-		Objects:       len(s.db.Objects()),
-		Epoch:         s.db.CurrentEpoch(),
-		InFlight:      s.stats.InFlight.Value(),
-		CacheEntries:  s.cache.len(),
-		FormatVersion: s.db.FormatVersion(),
-		ShardID:       s.cfg.ShardID,
-	})
+// handleHealthz reports liveness and the backend's shape and provenance,
+// plus the front end's own occupancy. The endpoint bypasses admission
+// control and the cache: a saturated server is alive, and a health check
+// must say so.
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
+	hz, err := s.b.Healthz(r.Context())
+	if err != nil {
+		return err
+	}
+	hz.InFlight = s.stats.InFlight.Value()
+	hz.CacheEntries = s.cache.len()
+	setEpoch(w, hz.Epoch)
+	return writeBody(w, hz)
+}
+
+// respond marshals, caches and writes a fresh (non-cached) result.
+func (s *Server) respond(w http.ResponseWriter, key string, v any) error {
+	body, err := marshalBody(v)
+	if err != nil {
+		return fmt.Errorf("encoding response: %w", err)
+	}
+	s.cache.put(key, body)
+	writeJSON(w, body, "miss")
+	return nil
+}
+
+// writeBody marshals and writes a response that is neither cached nor a
+// query result: no X-Cache header.
+func writeBody(w http.ResponseWriter, v any) error {
+	body, err := marshalBody(v)
+	if err != nil {
+		return fmt.Errorf("encoding response: %w", err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	//lint:ignore dropped-error a client gone mid-reply is not a server failure
+	_, _ = w.Write(body)
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"surfknn/internal/server/api"
@@ -65,22 +64,16 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		// entry; handlers that know the exact epoch of their answer (a
 		// cached result, a query's pinned view) overwrite it before
 		// writing.
-		rec.Header().Set("X-Epoch", strconv.FormatUint(s.db.CurrentEpoch(), 10))
+		setEpoch(rec, s.b.Epoch())
 		var recovered string
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
 					recovered = appendPanic(p)
 					s.stats.Panics.Add(1)
-					// A handler panic is a failed query as far as the
-					// engine-level dashboard is concerned, even though the
-					// session never got to record it.
-					if reg := s.db.Registry(); reg != nil {
-						reg.QueriesFailed.Add(1)
-					}
 					if rec.status == 0 {
-						writeError(rec, http.StatusInternalServerError, api.CodeInternal,
-							"internal error (recovered panic)")
+						writeError(rec, api.Errorf(http.StatusInternalServerError, api.CodeInternal,
+							"internal error (recovered panic)"))
 					}
 				}
 			}()

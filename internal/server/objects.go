@@ -1,6 +1,6 @@
 package server
 
-// Object-update endpoints: POST /v1/objects (batch upsert) and
+// The local engine's object updates: POST /v1/objects (batch upsert) and
 // DELETE /v1/objects (batch delete). Updates go through the database's
 // versioned object store (internal/objstore), so each accepted batch
 // publishes one new epoch atomically; queries in flight keep reading the
@@ -13,109 +13,70 @@ package server
 // query answers fresh.
 
 import (
+	"context"
 	"net/http"
 
 	"surfknn/internal/geom"
-	"surfknn/internal/mesh"
+	"surfknn/internal/objstore"
 	"surfknn/internal/server/api"
 	"surfknn/internal/workload"
 )
 
-// maxUpdateBatch bounds how many objects one update request may carry.
-// Larger batches should be split client-side; one epoch per batch means an
-// unbounded batch would also be an unbounded copy-on-write delta.
-const maxUpdateBatch = 4096
-
-func (s *Server) handleUpsertObjects(w http.ResponseWriter, r *http.Request) {
-	var req api.UpsertRequest
-	if !s.decode(w, r, &req) {
-		return
+func (e *engine) Upsert(_ context.Context, req api.UpsertRequest) (api.UpdateResponse, error) {
+	store, err := e.store()
+	if err != nil {
+		return api.UpdateResponse{}, err
 	}
-	if len(req.Objects) == 0 {
-		s.badRequest(w, "objects must contain at least one object")
-		return
+	batch, err := e.upsertBatch(req.Objects)
+	if err != nil {
+		return api.UpdateResponse{}, err
 	}
-	if len(req.Objects) > maxUpdateBatch {
-		s.badRequest(w, "batch of %d objects exceeds the limit of %d", len(req.Objects), maxUpdateBatch)
-		return
-	}
-	store := s.db.ObjectStore()
-	if store == nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal,
-			"database has no object store installed")
-		return
-	}
-	batch, ok := s.upsertBatch(w, req.Objects)
-	if !ok {
-		return
-	}
-
-	epoch := store.Upsert(batch)
-	setEpoch(w, epoch)
-	// Not a query result: never cached, no X-Cache header.
-	writeBody(w, api.UpdateResponse{Epoch: epoch, Count: len(batch)})
+	return api.UpdateResponse{Epoch: store.Upsert(batch), Count: len(batch)}, nil
 }
 
-// upsertBatch validates and lifts a wire upsert batch onto the terrain,
-// writing the 400 itself on failure.
-func (s *Server) upsertBatch(w http.ResponseWriter, objs []api.UpsertObject) ([]workload.Object, bool) {
-	batch := make([]workload.Object, len(objs))
-	for i, o := range objs {
-		if o.ID == nil {
-			s.badRequest(w, "objects[%d]: missing id", i)
-			return nil, false
-		}
-		p, ok := s.objectPoint(w, i, o.X, o.Y)
-		if !ok {
-			return nil, false
-		}
-		batch[i] = workload.Object{ID: *o.ID, Point: p}
-	}
-	return batch, true
-}
-
-func (s *Server) handleDeleteObjects(w http.ResponseWriter, r *http.Request) {
-	var req api.DeleteRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.IDs) == 0 {
-		s.badRequest(w, "ids must contain at least one object id")
-		return
-	}
-	if len(req.IDs) > maxUpdateBatch {
-		s.badRequest(w, "batch of %d ids exceeds the limit of %d", len(req.IDs), maxUpdateBatch)
-		return
-	}
-	store := s.db.ObjectStore()
-	if store == nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal,
-			"database has no object store installed")
-		return
+func (e *engine) Delete(_ context.Context, req api.DeleteRequest) (api.DeleteResponse, error) {
+	store, err := e.store()
+	if err != nil {
+		return api.DeleteResponse{}, err
 	}
 	distinct := make(map[int64]struct{}, len(req.IDs))
 	for _, id := range req.IDs {
 		distinct[id] = struct{}{}
 	}
-
 	epoch, deleted := store.Delete(req.IDs)
-	setEpoch(w, epoch)
-	writeBody(w, api.DeleteResponse{
+	return api.DeleteResponse{
 		Epoch:   epoch,
 		Deleted: deleted,
 		Missing: len(distinct) - deleted,
-	})
+	}, nil
 }
 
-// objectPoint lifts an update's (x,y) onto the terrain. Unlike a query
-// point, an off-terrain object position is a 400, not a 404: the request
-// is asking to create state that cannot exist, not addressing state that
-// does not.
-func (s *Server) objectPoint(w http.ResponseWriter, i int, x, y float64) (mesh.SurfacePoint, bool) {
-	p, err := s.db.SurfacePointAt(geom.Vec2{X: x, Y: y})
-	if err != nil {
-		s.badRequest(w, "objects[%d]: position (%g, %g) is not on the terrain: %v", i, x, y, err)
-		return mesh.SurfacePoint{}, false
+// store returns the database's object store, or the 500 when none is
+// installed.
+func (e *engine) store() (*objstore.Store, error) {
+	store := e.db.ObjectStore()
+	if store == nil {
+		return nil, api.Errorf(http.StatusInternalServerError, api.CodeInternal,
+			"database has no object store installed")
 	}
-	return p, true
+	return store, nil
+}
+
+// upsertBatch validates and lifts a wire upsert batch onto the terrain.
+// Unlike a query point, an off-terrain object position is a 400, not a
+// 404: the request is asking to create state that cannot exist, not
+// addressing state that does not.
+func (e *engine) upsertBatch(objs []api.UpsertObject) ([]workload.Object, error) {
+	batch := make([]workload.Object, len(objs))
+	for i, o := range objs {
+		if o.ID == nil {
+			return nil, badRequest("objects[%d]: missing id", i)
+		}
+		p, err := e.db.SurfacePointAt(geom.Vec2{X: o.X, Y: o.Y})
+		if err != nil {
+			return nil, badRequest("objects[%d]: position (%g, %g) is not on the terrain: %v", i, o.X, o.Y, err)
+		}
+		batch[i] = workload.Object{ID: *o.ID, Point: p}
+	}
+	return batch, nil
 }

@@ -1,35 +1,39 @@
-// Package server is the HTTP serving layer over one core.TerrainDB: a
-// long-lived, multi-tenant query service built only on the standard
-// library (net/http, encoding/json).
+// Package server is the surfknn HTTP front end: one handler chain that
+// routes, decodes, validates, compiles SKQL, caches and writes envelopes for
+// the public API, over a small Backend interface. It is built only on the
+// standard library (net/http, encoding/json).
 //
-// The engine below was shaped for exactly this sitting-on-top: the
-// terrain structures are immutable and the object set is versioned by an
-// epoch-based store (internal/objstore), so the server owns one TerrainDB
-// and any number of concurrent requests; per-request execution state
-// lives in pooled core.Sessions (checked out per request, returned on
-// completion), each query pinning one object epoch for its whole run; the
-// request context — client disconnect plus a per-request or
-// server-default deadline — is threaded through the *Ctx query variants.
-// Object updates arrive over HTTP too (POST/DELETE /v1/objects, see
-// objects.go), each accepted batch publishing a new epoch; every response
-// carries the epoch it was served against in the X-Epoch header.
+// Two backends answer through it:
 //
-// Around the handlers sit the robustness pieces a real service needs:
+//   - the local engine (New): one core.TerrainDB. The terrain structures
+//     are immutable and the object set is versioned by an epoch-based store
+//     (internal/objstore), so per-request execution state lives in pooled
+//     core.Sessions, each query pinning one object epoch for its whole run.
+//     Admission control bounds concurrent execution: a semaphore, a bounded
+//     wait queue, and a fast 429 + Retry-After beyond that (admission.go).
+//     The local engine also mounts the routes only it can serve: the
+//     continuous-query subscriptions (subscribe.go) and the /v1/shard/*
+//     fabric a coordinator drives (shard.go).
+//   - the scatter-gather coordinator of a sharded fleet (internal/shard),
+//     passed to NewFront.
 //
-//   - admission control: a semaphore bounds concurrent query execution, a
-//     bounded wait queue absorbs short bursts, and everything beyond that
-//     is shed immediately with 429 + Retry-After (see admission.go);
+// Around the backend sit the pieces every deployment shares:
+//
+//   - strict body decoding and all parameter validation, so a bad request
+//     never reaches a backend (handlers.go);
 //   - an LRU result cache keyed by (epoch, canonical query): within one
 //     epoch a query maps to one answer forever, and an update makes stale
-//     entries unreachable rather than requiring a purge (see cache.go);
-//   - typed JSON error envelopes with correct status codes (errors.go);
+//     entries unreachable rather than requiring a purge (cache.go);
+//   - typed JSON error envelopes: a backend's *api.Error is written
+//     verbatim, a context error is a 408, anything else a 500 (errors.go);
 //   - panic recovery, request metrics and JSON access logging
 //     (middleware.go);
 //   - graceful lifecycle: Shutdown stops accepting and drains in-flight
 //     requests under a caller-bounded deadline.
 //
-// Metrics flow into obs.ServerStats (published by skserve as the
-// "surfknn_server" expvar group) beside the engine's obs.Registry.
+// Every response carries the object-store epoch it was served against in
+// the X-Epoch header. Metrics flow into obs.ServerStats (published by
+// skserve and skcoord as the "surfknn_server" expvar group).
 package server
 
 import (
@@ -43,10 +47,10 @@ import (
 	"sync"
 	"time"
 
-	"surfknn/internal/continuous"
 	"surfknn/internal/core"
 	"surfknn/internal/obs"
 	"surfknn/internal/server/api"
+	"surfknn/internal/sklang"
 )
 
 // Config tunes the server. The zero value is production-ready for a small
@@ -68,7 +72,7 @@ type Config struct {
 	// MaxTimeout caps client-requested timeouts. Default 30s.
 	MaxTimeout time.Duration
 	// CacheEntries sizes the LRU result cache; negative disables caching.
-	// Default 1024.
+	// Default 1024. A coordinator's front end always runs with it off.
 	CacheEntries int
 	// ShardID names the tile this process serves when it is one shard of a
 	// tiled deployment (e.g. "tile-0-1"). Empty for a standalone server.
@@ -124,17 +128,39 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves surface k-NN queries over HTTP from one immutable
-// TerrainDB. Create with New, expose with Handler or Serve, stop with
-// Shutdown.
+// Backend answers the public API behind the front end. Every request it
+// receives has passed decoding and parameter validation. A returned
+// *api.Error is written to the client verbatim, a context error becomes a
+// 408, and any other error a 500. The uint64 results are the object-store
+// epoch the answer was computed against.
+type Backend interface {
+	// Catalog describes the data to the SKQL planner.
+	Catalog() sklang.Catalog
+	// Epoch is the current object-store epoch: it scopes cache lookups and
+	// stamps X-Epoch on responses that know no better.
+	Epoch() uint64
+	KNN(ctx context.Context, req api.KNNRequest) (api.Result, uint64, error)
+	Range(ctx context.Context, req api.RangeRequest) (api.Result, uint64, error)
+	Distance(ctx context.Context, req api.DistanceRequest) (api.DistanceResponse, uint64, error)
+	// Query executes a compiled, non-EXPLAIN statement.
+	Query(ctx context.Context, plan *sklang.Plan, timeout api.Duration) (api.QueryResponse, uint64, error)
+	// Explain executes a compiled statement and returns its annotated plan
+	// tree.
+	Explain(ctx context.Context, plan *sklang.Plan, timeout api.Duration) (api.PlanNode, uint64, error)
+	Upsert(ctx context.Context, req api.UpsertRequest) (api.UpdateResponse, error)
+	Delete(ctx context.Context, req api.DeleteRequest) (api.DeleteResponse, error)
+	Healthz(ctx context.Context) (api.Healthz, error)
+}
+
+// Server is the HTTP front end over one Backend. Create with New (the local
+// engine) or NewFront, expose with Handler or Serve, stop with Shutdown.
 type Server struct {
-	db    *core.TerrainDB
+	b     Backend
 	cfg   Config
 	stats *obs.ServerStats
-	adm   *admission
 	cache *resultCache
-	mon   *continuous.Monitor // continuous-query subsystem; nil without an object store
 
+	mux     *http.ServeMux
 	handler http.Handler
 
 	logMu sync.Mutex // serialises access-log lines
@@ -143,55 +169,56 @@ type Server struct {
 	http *http.Server // live listener-facing server; nil before Serve
 }
 
-// New builds a server over db, which must already have objects installed
-// (SetObjects or a snapshot that carried them). The terrain is never
-// mutated; the object set is, through the update endpoints, with each
-// batch publishing a new epoch in the database's object store.
+// New serves db, which must already have objects installed (SetObjects or
+// a snapshot that carried them). The terrain is never mutated; the object
+// set is, through the update endpoints, with each batch publishing a new
+// epoch in the database's object store.
 func New(db *core.TerrainDB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	e := newEngine(db, cfg)
+	s := newFront(e, cfg)
+	e.mount(s)
+	return s
+}
+
+// NewFront serves b through the shared front end: the public routes only.
+func NewFront(b Backend, cfg Config) *Server {
+	return newFront(b, cfg.withDefaults())
+}
+
+func newFront(b Backend, cfg Config) *Server {
 	s := &Server{
-		db:    db,
+		b:     b,
 		cfg:   cfg,
 		stats: cfg.Stats,
+		cache: newResultCache(cfg.CacheEntries, cfg.Stats),
+		mux:   http.NewServeMux(),
 	}
-	s.adm = newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait, s.stats)
-	s.cache = newResultCache(cfg.CacheEntries, s.stats)
-	// The monitor needs the object store's update feed; a database without
-	// one (never the case for a served snapshot) simply has the continuous
-	// routes answer 500.
-	if mon, err := continuous.New(db, continuous.Config{
-		MaxSubscriptions: cfg.MaxSubscriptions,
-		CoalesceWindow:   cfg.CoalesceWindow,
-		Stats:            cfg.ContinuousStats,
-	}); err == nil {
-		s.mon = mon
-	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	mux.HandleFunc("POST /v1/explain", s.handleExplain)
-	mux.HandleFunc("GET /debug/explain", s.handleExplainConsole)
-	mux.HandleFunc("POST /v1/knn", s.handleKNN)
-	mux.HandleFunc("POST /v1/range", s.handleRange)
-	mux.HandleFunc("POST /v1/distance", s.handleDistance)
-	mux.HandleFunc("POST /v1/objects", s.handleUpsertObjects)
-	mux.HandleFunc("DELETE /v1/objects", s.handleDeleteObjects)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("POST /v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("POST /v1/subscribe/{id}/move", s.handleMove)
-	mux.HandleFunc("DELETE /v1/subscribe/{id}", s.handleUnsubscribe)
-	mux.HandleFunc("POST /v1/shard/knn2d", s.handleShardKNN2D)
-	mux.HandleFunc("POST /v1/shard/range2d", s.handleShardRange2D)
-	mux.HandleFunc("POST /v1/shard/rank", s.handleShardRank)
-	mux.HandleFunc("POST /v1/shard/ea", s.handleShardEA)
-	mux.HandleFunc("POST /v1/shard/range", s.handleShardRange)
-	mux.HandleFunc("POST /v1/shard/objects", s.handleShardObjects)
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)
+	s.handle("POST /v1/query", s.handleQuery)
+	s.handle("POST /v1/explain", s.handleExplain)
+	s.mux.HandleFunc("GET /debug/explain", handleExplainConsole)
+	s.handle("POST /v1/knn", s.handleKNN)
+	s.handle("POST /v1/range", s.handleRange)
+	s.handle("POST /v1/distance", s.handleDistance)
+	s.handle("POST /v1/objects", s.handleUpsertObjects)
+	s.handle("DELETE /v1/objects", s.handleDeleteObjects)
+	s.handle("GET /v1/healthz", s.handleHealthz)
+	s.mux.Handle("GET /debug/vars", expvar.Handler())
+	s.handle("/", func(_ http.ResponseWriter, r *http.Request) error {
+		return api.Errorf(http.StatusNotFound, api.CodeNotFound, "no such endpoint %s %s", r.Method, r.URL.Path)
 	})
-	s.handler = s.instrument(mux)
+	s.handler = s.instrument(s.mux)
 	return s
+}
+
+// handle routes pattern to h, writing the error h returns as the response
+// (see fail). h writes nothing itself when it fails.
+func (s *Server) handle(pattern string, h func(http.ResponseWriter, *http.Request) error) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			s.fail(w, err)
+		}
+	})
 }
 
 // Handler returns the server's full handler chain (routing, admission,
@@ -232,21 +259,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	return hs.Shutdown(ctx)
-}
-
-// requestContext derives the query's controlling context from the request:
-// the client-supplied timeout (clamped to MaxTimeout) or the server
-// default, layered over the request context so a disconnected client also
-// cancels the query.
-func (s *Server) requestContext(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeout > 0 {
-		d = timeout
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-	}
-	return context.WithTimeout(r.Context(), d)
 }
 
 // writeJSON emits body (already-marshalled JSON) with the given X-Cache

@@ -54,6 +54,9 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	return New(getDB(t), cfg)
 }
 
+// admissionOf reaches the local engine's admission controller.
+func admissionOf(s *Server) *admission { return s.b.(*engine).adm }
+
 // post drives one JSON request through the full handler chain.
 func post(t testing.TB, s *Server, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -216,10 +219,10 @@ func TestSaturation(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil { // hold the only slot
+	if err := admissionOf(s).acquire(ctx); err != nil { // hold the only slot
 		t.Fatal(err)
 	}
-	defer s.adm.release()
+	defer admissionOf(s).release()
 
 	w := post(t, s, "/v1/knn", `{"x":800,"y":800,"k":3}`)
 	if w.Code != http.StatusTooManyRequests {
@@ -246,12 +249,12 @@ func TestQueueAdmits(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if err := s.adm.acquire(ctx); err != nil {
+	if err := admissionOf(s).acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		s.adm.release()
+		admissionOf(s).release()
 	}()
 	w := post(t, s, "/v1/knn", `{"x":800,"y":800,"k":3}`)
 	if w.Code != http.StatusOK {

@@ -2,27 +2,33 @@ package server
 
 // Shard-fabric endpoints: the decomposed MR3 primitives under /v1/shard/*
 // that a scatter-gather coordinator (internal/shard) drives against this
-// process when it serves one tile of a sharded deployment. The routes are
-// mounted unconditionally — a server that never sees a coordinator simply
-// never receives them — and speak the api.Shard* wire types.
+// process when it serves one tile of a sharded deployment. The local engine
+// mounts them unconditionally — a server that never sees a coordinator
+// simply never receives them — and they speak the api.Shard* wire types.
 //
-// Admission: the 2-D primitives (knn2d, range2d) are cheap index reads and
-// bypass the admission semaphore like the object-update routes; the ranking
+// Admission: the 2-D primitives (knn2d, range2d) are cheap index reads on a
+// pooled session's scratch and bypass the admission semaphore like the
+// object-update routes; the ranking
 // primitives (rank, ea, range) run the full multiresolution machinery and
 // are admitted exactly like public queries. Shard responses are never
 // cached: the coordinator's public-facing responses are what benefit from
 // caching, and it caches per assembled answer, not per fragment.
 
 import (
+	"context"
 	"math"
 	"net/http"
-	"time"
 
+	"surfknn/internal/core"
 	"surfknn/internal/geom"
 	"surfknn/internal/mesh"
 	"surfknn/internal/server/api"
 	"surfknn/internal/workload"
 )
+
+// maxShardBodyBytes bounds the shard-fabric request bodies, which carry
+// gathered candidate sets and so are legitimately larger than public ones.
+const maxShardBodyBytes = 16 << 20
 
 // toCandidates maps an object slice onto the wire, carrying the exact
 // surface point including the mesh face (see api.Candidate).
@@ -41,14 +47,13 @@ func toCandidates(objs []workload.Object) []api.Candidate {
 }
 
 // candidateObjects validates and maps wire candidates back onto engine
-// objects, writing the 400 itself on a face id outside the local mesh.
-func (s *Server) candidateObjects(w http.ResponseWriter, cands []api.Candidate) ([]workload.Object, bool) {
-	nf := s.db.Mesh.NumFaces()
+// objects; a face id outside the local mesh is a 400.
+func (e *engine) candidateObjects(cands []api.Candidate) ([]workload.Object, error) {
+	nf := e.db.Mesh.NumFaces()
 	objs := make([]workload.Object, len(cands))
 	for i, c := range cands {
 		if c.Face < 0 || int(c.Face) >= nf {
-			s.badRequest(w, "candidates[%d]: face %d outside mesh (%d faces)", i, c.Face, nf)
-			return nil, false
+			return nil, badRequest("candidates[%d]: face %d outside mesh (%d faces)", i, c.Face, nf)
 		}
 		objs[i] = workload.Object{
 			ID: c.ID,
@@ -58,184 +63,136 @@ func (s *Server) candidateObjects(w http.ResponseWriter, cands []api.Candidate) 
 			},
 		}
 	}
-	return objs, true
+	return objs, nil
+}
+
+// shardResult wraps a ranked answer for the fabric wire.
+func shardResult(res api.Result, epoch uint64) api.ShardResult {
+	return api.ShardResult{Epoch: epoch, Neighbors: res.Neighbors, Cost: res.Cost}
 }
 
 // --- POST /v1/shard/knn2d ---
 
-func (s *Server) handleShardKNN2D(w http.ResponseWriter, r *http.Request) {
+func (e *engine) handleShardKNN2D(w http.ResponseWriter, r *http.Request) error {
 	var req api.ShardKNN2DRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := checkK(req.K); err != nil {
+		return err
 	}
-	objs, epoch := s.db.KNN2D(geom.Vec2{X: req.X, Y: req.Y}, req.K)
+	sess := e.db.AcquireSession()
+	defer e.db.Release(sess)
+	objs, epoch := sess.KNN2D(geom.Vec2{X: req.X, Y: req.Y}, req.K)
 	setEpoch(w, epoch)
-	writeBody(w, api.CandidatesResponse{Epoch: epoch, Candidates: toCandidates(objs)})
+	return writeBody(w, api.CandidatesResponse{Epoch: epoch, Candidates: toCandidates(objs)})
 }
 
 // --- POST /v1/shard/range2d ---
 
-func (s *Server) handleShardRange2D(w http.ResponseWriter, r *http.Request) {
+func (e *engine) handleShardRange2D(w http.ResponseWriter, r *http.Request) error {
 	var req api.ShardRange2DRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
 	// Radius zero is legal here (unlike the public range route): the
 	// coordinator forwards MR3's k-th upper bound verbatim, and a query
 	// point sitting exactly on an object yields a zero bound.
 	if !(req.Radius >= 0) || math.IsInf(req.Radius, 1) {
-		s.badRequest(w, "radius must be a non-negative finite distance, got %g", req.Radius)
-		return
+		return badRequest("radius must be a non-negative finite distance, got %g", req.Radius)
 	}
-	objs, epoch := s.db.Range2D(geom.Vec2{X: req.X, Y: req.Y}, req.Radius)
+	sess := e.db.AcquireSession()
+	defer e.db.Release(sess)
+	objs, epoch := sess.Range2D(geom.Vec2{X: req.X, Y: req.Y}, req.Radius)
 	setEpoch(w, epoch)
-	writeBody(w, api.CandidatesResponse{Epoch: epoch, Candidates: toCandidates(objs)})
+	return writeBody(w, api.CandidatesResponse{Epoch: epoch, Candidates: toCandidates(objs)})
 }
 
 // --- POST /v1/shard/rank ---
 
-func (s *Server) handleShardRank(w http.ResponseWriter, r *http.Request) {
+func (e *engine) handleShardRank(w http.ResponseWriter, r *http.Request) error {
 	var req api.ShardRankRequest
-	if !s.decodeLimited(w, r, &req, maxShardBodyBytes) {
-		return
+	if err := decode(w, r, &req, maxShardBodyBytes); err != nil {
+		return err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := checkK(req.K); err != nil {
+		return err
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+	sched, opt, err := checkQuery(req.Sched, req.Options)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-	objs, ok := s.candidateObjects(w, req.Candidates)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.RankCandidatesCtx(ctx, q, objs, req.K, sched, opt, req.Tighten)
+	objs, err := e.candidateObjects(req.Candidates)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return err
+	}
+	res, epoch, err := e.rank(r.Context(), req.X, req.Y, req.Timeout, func(ctx context.Context, sess *core.Session, q mesh.SurfacePoint) (core.Result, error) {
+		return sess.RankCandidatesCtx(ctx, q, objs, req.K, sched, opt, req.Tighten)
+	})
+	return writeShardResult(w, shardResult(res, epoch), err)
+}
+
+// writeShardResult writes a ranking primitive's answer, or passes its
+// failure on.
+func writeShardResult(w http.ResponseWriter, res api.ShardResult, err error) error {
+	if err != nil {
+		return err
 	}
 	setEpoch(w, res.Epoch)
-	wire := toResponse(res)
-	writeBody(w, api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost})
+	return writeBody(w, res)
 }
 
 // --- POST /v1/shard/ea ---
 
-func (s *Server) handleShardEA(w http.ResponseWriter, r *http.Request) {
+func (e *engine) handleShardEA(w http.ResponseWriter, r *http.Request) error {
 	var req api.ShardEARequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := checkK(req.K); err != nil {
+		return err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
+	q, err := e.surfacePoint(req.X, req.Y)
+	if err != nil {
+		return err
 	}
 	// Clamp k to this shard's live object count: a shard owning fewer than
 	// k objects contributes them all, and the coordinator merges per-shard
 	// top-k lists into the global top-k.
 	k := req.K
-	if n := len(s.db.Objects()); k > n {
+	if n := len(e.db.Objects()); k > n {
 		k = n
 	}
 	if k == 0 {
-		epoch := s.db.CurrentEpoch()
-		setEpoch(w, epoch)
-		writeBody(w, api.ShardResult{Epoch: epoch, Neighbors: []api.Neighbor{}})
-		return
+		return writeShardResult(w, api.ShardResult{Epoch: e.db.CurrentEpoch(), Neighbors: []api.Neighbor{}}, nil)
 	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.EACtx(ctx, q, k)
-	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
-	}
-	setEpoch(w, res.Epoch)
-	wire := toResponse(res)
-	writeBody(w, api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost})
+	var out api.ShardResult
+	err = e.session(r.Context(), req.Timeout, func(ctx context.Context, sess *core.Session) error {
+		res, err := sess.EACtx(ctx, q, k)
+		out = shardResult(toResponse(res), res.Epoch)
+		return err
+	})
+	return writeShardResult(w, out, err)
 }
 
 // --- POST /v1/shard/range ---
 
-func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
+func (e *engine) handleShardRange(w http.ResponseWriter, r *http.Request) error {
 	var req api.ShardRangeRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	if !(req.Radius > 0) || math.IsInf(req.Radius, 1) {
-		s.badRequest(w, "radius must be a positive finite distance, got %g", req.Radius)
-		return
+	if err := checkRadius(req.Radius); err != nil {
+		return err
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+	sched, opt, err := checkQuery(req.Sched, req.Options)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-	sess := s.db.AcquireSession()
-	defer s.db.Release(sess)
-
-	res, err := sess.SurfaceRangeCtx(ctx, q, req.Radius, sched, opt)
-	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
-	}
-	setEpoch(w, res.Epoch)
-	wire := toResponse(res)
-	writeBody(w, api.ShardResult{Epoch: res.Epoch, Neighbors: wire.Neighbors, Cost: wire.Cost})
+	res, epoch, err := e.rank(r.Context(), req.X, req.Y, req.Timeout, func(ctx context.Context, sess *core.Session, q mesh.SurfacePoint) (core.Result, error) {
+		return sess.SurfaceRangeCtx(ctx, q, req.Radius, sched, opt)
+	})
+	return writeShardResult(w, shardResult(res, epoch), err)
 }
 
 // --- POST /v1/shard/objects ---
@@ -244,31 +201,26 @@ func (s *Server) handleShardRange(w http.ResponseWriter, r *http.Request) {
 // coordinator-assigned epoch (see objstore.ApplyAt). Empty batches are
 // legal — a shard owning none of the touched objects still publishes, so
 // every shard's epoch advances in lockstep — and replays are idempotent.
-func (s *Server) handleShardObjects(w http.ResponseWriter, r *http.Request) {
+func (e *engine) handleShardObjects(w http.ResponseWriter, r *http.Request) error {
 	var req api.ShardObjectsRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
 	if req.Epoch == 0 {
-		s.badRequest(w, "epoch must be positive")
-		return
+		return badRequest("epoch must be positive")
 	}
 	if len(req.Objects) > maxUpdateBatch || len(req.DeleteIDs) > maxUpdateBatch {
-		s.badRequest(w, "batch exceeds the limit of %d", maxUpdateBatch)
-		return
+		return badRequest("batch exceeds the limit of %d", maxUpdateBatch)
 	}
-	store := s.db.ObjectStore()
-	if store == nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal,
-			"database has no object store installed")
-		return
+	store, err := e.store()
+	if err != nil {
+		return err
 	}
-	batch, ok := s.upsertBatch(w, req.Objects)
-	if !ok {
-		return
+	batch, err := e.upsertBatch(req.Objects)
+	if err != nil {
+		return err
 	}
-
 	epoch, applied := store.ApplyAt(batch, req.DeleteIDs, req.Epoch)
 	setEpoch(w, epoch)
-	writeBody(w, api.ShardObjectsResponse{Epoch: epoch, Applied: applied})
+	return writeBody(w, api.ShardObjectsResponse{Epoch: epoch, Applied: applied})
 }

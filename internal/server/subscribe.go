@@ -1,9 +1,9 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"strconv"
-	"time"
 
 	"surfknn/internal/continuous"
 	"surfknn/internal/core"
@@ -11,12 +11,12 @@ import (
 	"surfknn/internal/server/api"
 )
 
-// The continuous-query routes. A subscription is server-side state (the
-// cached top-k, its safe region, its epoch stamp — see internal/continuous),
-// so unlike the stateless query routes these are keyed by a subscription id
-// in the path. Every move answer carries an X-Safe-Region header: "hit"
-// when it was served from the safe region without engine work, "miss" when
-// it re-evaluated.
+// The continuous-query routes, served by the local engine only. A
+// subscription is server-side state (the cached top-k, its safe region, its
+// epoch stamp — see internal/continuous), so unlike the stateless query
+// routes these are keyed by a subscription id in the path. Every move
+// answer carries an X-Safe-Region header: "hit" when it was served from the
+// safe region without engine work, "miss" when it re-evaluated.
 
 // safeRegionHeader is the response header reporting the move disposition.
 const safeRegionHeader = "X-Safe-Region"
@@ -29,14 +29,13 @@ func setSafeRegion(w http.ResponseWriter, hit bool) {
 	}
 }
 
-// monitor returns the continuous monitor, writing the 500 when the server
-// was built without one (a database lacking an object store).
-func (s *Server) monitor(w http.ResponseWriter) (*continuous.Monitor, bool) {
-	if s.mon == nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "continuous queries unavailable: no object store")
-		return nil, false
+// monitor returns the continuous monitor, or the 500 when the server was
+// built without one (a database lacking an object store).
+func (e *engine) monitor() (*continuous.Monitor, error) {
+	if e.mon == nil {
+		return nil, api.Errorf(http.StatusInternalServerError, api.CodeInternal, "continuous queries unavailable: no object store")
 	}
-	return s.mon, true
+	return e.mon, nil
 }
 
 func subscribeResponse(id uint64, res core.Result, sr core.SafeRegion) api.SubscribeResponse {
@@ -50,68 +49,76 @@ func subscribeResponse(id uint64, res core.Result, sr core.SafeRegion) api.Subsc
 	}
 }
 
+// subscribe registers a continuous k-NN query under admission control —
+// the path POST /v1/subscribe and the SKQL SUBSCRIBE form share.
+func (e *engine) subscribe(ctx context.Context, x, y float64, k int, sched core.Schedule, opt core.Options, timeout api.Duration) (api.SubscribeResponse, error) {
+	mon, err := e.monitor()
+	if err != nil {
+		return api.SubscribeResponse{}, err
+	}
+	q, err := e.surfacePoint(x, y)
+	if err != nil {
+		return api.SubscribeResponse{}, err
+	}
+	ctx, cancel := e.requestContext(ctx, timeout)
+	defer cancel()
+	if err := e.admit(ctx); err != nil {
+		return api.SubscribeResponse{}, err
+	}
+	defer e.adm.release()
+	id, res, sr, err := mon.Subscribe(ctx, q, k, sched, opt)
+	if err != nil {
+		return api.SubscribeResponse{}, err
+	}
+	return subscribeResponse(id, res, sr), nil
+}
+
+// subscriptionID parses the {id} path element.
+func subscriptionID(r *http.Request) (uint64, error) {
+	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	if err != nil {
+		return 0, badRequest("invalid subscription id %q", r.PathValue("id"))
+	}
+	return id, nil
+}
+
 // --- POST /v1/subscribe ---
 
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	mon, ok := s.monitor(w)
-	if !ok {
-		return
-	}
+func (e *engine) handleSubscribe(w http.ResponseWriter, r *http.Request) error {
 	var req api.SubscribeRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
-	if req.K < 1 || req.K > maxK {
-		s.badRequest(w, "k must be in [1, %d], got %d", maxK, req.K)
-		return
+	if err := checkK(req.K); err != nil {
+		return err
 	}
-	sched, ok := schedFor(req.Sched)
-	if !ok {
-		s.badRequest(w, "sched must be 1, 2 or 3, got %d", req.Sched)
-		return
-	}
-	opt, err := coreOptions(req.Options)
+	sched, opt, err := checkQuery(req.Sched, req.Options)
 	if err != nil {
-		s.badRequest(w, "invalid options: %v", err)
-		return
+		return err
 	}
-	q, ok := s.surfacePoint(w, req.X, req.Y)
-	if !ok {
-		return
-	}
-
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
-	defer cancel()
-	if !s.admit(ctx, w) {
-		return
-	}
-	defer s.adm.release()
-
-	id, res, sr, err := mon.Subscribe(ctx, q, req.K, sched, opt)
+	sub, err := e.subscribe(r.Context(), req.X, req.Y, req.K, sched, opt, req.Timeout)
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return err
 	}
-	setEpoch(w, res.Epoch)
+	setEpoch(w, sub.Epoch)
 	setSafeRegion(w, false)
-	writeBody(w, subscribeResponse(id, res, sr))
+	return writeBody(w, sub)
 }
 
 // --- POST /v1/subscribe/{id}/move ---
 
-func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
-	mon, ok := s.monitor(w)
-	if !ok {
-		return
-	}
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+func (e *engine) handleMove(w http.ResponseWriter, r *http.Request) error {
+	mon, err := e.monitor()
 	if err != nil {
-		s.badRequest(w, "invalid subscription id %q", r.PathValue("id"))
-		return
+		return err
+	}
+	id, err := subscriptionID(r)
+	if err != nil {
+		return err
 	}
 	var req api.MoveRequest
-	if !s.decode(w, r, &req) {
-		return
+	if err := decode(w, r, &req, maxBodyBytes); err != nil {
+		return err
 	}
 	p := geom.Vec2{X: req.X, Y: req.Y}
 
@@ -121,52 +128,47 @@ func (s *Server) handleMove(w http.ResponseWriter, r *http.Request) {
 	if res, sr, hit := mon.TryMove(id, p); hit {
 		setEpoch(w, res.Epoch)
 		setSafeRegion(w, true)
-		writeBody(w, subscribeResponse(id, res, sr))
-		return
+		return writeBody(w, subscribeResponse(id, res, sr))
 	}
 
 	// Validate the target before spending an admission slot: a move off the
 	// terrain is the addressed location not existing, a 404.
-	if _, ok := s.surfacePoint(w, req.X, req.Y); !ok {
-		return
+	if _, err := e.surfacePoint(req.X, req.Y); err != nil {
+		return err
 	}
 
-	ctx, cancel := s.requestContext(r, time.Duration(req.Timeout))
+	ctx, cancel := e.requestContext(r.Context(), req.Timeout)
 	defer cancel()
-	if !s.admit(ctx, w) {
-		return
+	if err := e.admit(ctx); err != nil {
+		return err
 	}
-	defer s.adm.release()
+	defer e.adm.release()
 
 	res, sr, hit, err := mon.Move(ctx, id, p)
 	if err == continuous.ErrUnknownSubscription {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no subscription %d", id)
-		return
+		return api.Errorf(http.StatusNotFound, api.CodeNotFound, "no subscription %d", id)
 	}
 	if err != nil {
-		writeQueryError(w, s.stats, err)
-		return
+		return err
 	}
 	setEpoch(w, res.Epoch)
 	setSafeRegion(w, hit)
-	writeBody(w, subscribeResponse(id, res, sr))
+	return writeBody(w, subscribeResponse(id, res, sr))
 }
 
 // --- DELETE /v1/subscribe/{id} ---
 
-func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
-	mon, ok := s.monitor(w)
-	if !ok {
-		return
-	}
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+func (e *engine) handleUnsubscribe(w http.ResponseWriter, r *http.Request) error {
+	mon, err := e.monitor()
 	if err != nil {
-		s.badRequest(w, "invalid subscription id %q", r.PathValue("id"))
-		return
+		return err
+	}
+	id, err := subscriptionID(r)
+	if err != nil {
+		return err
 	}
 	if !mon.Unsubscribe(id) {
-		writeError(w, http.StatusNotFound, api.CodeNotFound, "no subscription %d", id)
-		return
+		return api.Errorf(http.StatusNotFound, api.CodeNotFound, "no subscription %d", id)
 	}
-	writeBody(w, api.UnsubscribeResponse{Removed: true})
+	return writeBody(w, api.UnsubscribeResponse{Removed: true})
 }

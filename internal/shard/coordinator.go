@@ -9,10 +9,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"surfknn/internal/geom"
 	"surfknn/internal/obs"
+	"surfknn/internal/server"
 	"surfknn/internal/server/api"
 	"surfknn/internal/server/client"
 )
@@ -47,7 +49,9 @@ type shardConn struct {
 // servers, scattering the decomposed MR3 primitives and merging partial
 // results so the assembled answer is bit-identical to one unsharded
 // server's (see the package comment). Create with New, verify the fleet
-// with Verify, expose over HTTP with Handler.
+// with Verify, expose over HTTP with Server or Handler. It is a
+// server.Backend: the shared front end validates every request before a
+// method here sees it.
 type Coordinator struct {
 	tiling Tiling
 	shards []shardConn // indexed iy*NX+ix
@@ -56,14 +60,16 @@ type Coordinator struct {
 
 	// epochMu serialises logical updates: the coordinator assigns each one
 	// the next epoch number and must finish replaying it before the next
-	// claims a number, so every shard sees epochs in order.
+	// claims a number, so every shard sees epochs in order. epoch is the
+	// last number assigned; it is atomic so readers never wait behind a
+	// replay in flight.
 	epochMu sync.Mutex
-	epoch   uint64
+	epoch   atomic.Uint64
 
 	// faces is the terrain's face count, learned from the fleet in Verify
 	// (every shard carries the full terrain). Zero until then; the SKQL
 	// planner's catalog tolerates that — it only degrades the estimates.
-	faces int
+	faces atomic.Int64
 }
 
 // New builds a coordinator from a manifest whose entries all carry shard
@@ -90,8 +96,8 @@ func New(cfg Config) (*Coordinator, error) {
 		shards: make([]shardConn, tiling.NumTiles()),
 		cfg:    cfg,
 		stats:  cfg.Stats,
-		epoch:  cfg.Manifest.Epoch,
 	}
+	c.epoch.Store(cfg.Manifest.Epoch)
 	opts := []client.Option{client.WithRetries(cfg.Retries)}
 	if cfg.HTTPClient != nil {
 		opts = append(opts, client.WithHTTPClient(cfg.HTTPClient))
@@ -115,6 +121,23 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Stats returns the coordinator's metric group.
 func (c *Coordinator) Stats() *obs.CoordStats { return c.stats }
+
+// Server serves the coordinator through the shared HTTP front end. The
+// result cache is always off: a merged answer's epoch is only known once
+// the shards have answered, so there is no epoch to look a cached one up
+// under.
+func (c *Coordinator) Server(cfg server.Config) *server.Server {
+	cfg.CacheEntries = -1
+	return server.NewFront(c, cfg)
+}
+
+// Handler returns the coordinator's public HTTP surface: a Server with the
+// default configuration.
+func (c *Coordinator) Handler() http.Handler { return c.Server(server.Config{}).Handler() }
+
+// Epoch is the last fleet epoch the coordinator assigned (or adopted in
+// Verify).
+func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
 
 // Verify health-checks every shard and cross-checks the topology: each
 // shard must report the shard id its manifest entry claims and every shard
@@ -150,11 +173,11 @@ func (c *Coordinator) Verify(ctx context.Context) error {
 		}
 	}
 	c.epochMu.Lock()
-	if maxEpoch > c.epoch {
-		c.epoch = maxEpoch
+	if maxEpoch > c.epoch.Load() {
+		c.epoch.Store(maxEpoch)
 	}
-	c.faces = results[0].Faces
 	c.epochMu.Unlock()
+	c.faces.Store(int64(results[0].Faces))
 	return nil
 }
 
@@ -167,19 +190,25 @@ func (c *Coordinator) tileIDs(idx []int) []string {
 	return ids
 }
 
-// DegradedError reports a scatter that could not assemble a complete
-// answer: which shards failed and why. The HTTP layer maps it to 503 with
-// the per-shard detail in the error envelope.
-type DegradedError struct {
-	Shards []api.ShardError
+// degraded counts and builds the refusal for a scatter that could not
+// assemble a complete answer: 503 shard_unavailable naming which shards
+// failed and why, never a silently partial result.
+func (c *Coordinator) degraded(errs []api.ShardError) *api.Error {
+	c.stats.Degraded.Add(1)
+	sort.Slice(errs, func(a, b int) bool { return errs[a].Shard < errs[b].Shard })
+	e := api.Errorf(http.StatusServiceUnavailable, api.CodeShardUnavailable,
+		"%d shard(s) unavailable; the answer would be partial", len(errs))
+	e.Shards = errs
+	e.RetryAfter = 1
+	return e
 }
 
-func (e *DegradedError) Error() string {
-	ids := make([]string, len(e.Shards))
-	for i, s := range e.Shards {
-		ids[i] = s.Shard
-	}
-	return fmt.Sprintf("shard: %d shard(s) unavailable: %s", len(e.Shards), strings.Join(ids, ", "))
+// verdict reports whether err is a shard's own refusal of the request — a
+// 4xx envelope such as an off-terrain point — rather than an outage. Every
+// shard would refuse identically, so the verdict is the answer.
+func verdict(err error) (*api.Error, bool) {
+	var e *api.Error
+	return e, errors.As(err, &e) && e.Status < http.StatusInternalServerError
 }
 
 // allShards returns every shard index.
@@ -208,13 +237,17 @@ func (c *Coordinator) reachableShards(q geom.Vec2, radius float64) []int {
 }
 
 // scatter fans call out to the given shards concurrently, each under its
-// own ShardTimeout slice of ctx, and gathers failures into a
-// *DegradedError. A zero-length failure list means complete success.
+// own ShardTimeout slice of ctx. A shard's 4xx verdict is returned as the
+// *api.Error it sent (the lowest-indexed shard's, when several refuse);
+// transport failures, timeouts and 5xx answers make the 503 refusal of
+// degraded. nil means complete success.
 func (c *Coordinator) scatter(ctx context.Context, targets []int, call func(ctx context.Context, i int, sc *shardConn) error) error {
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []api.ShardError
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		errs    []api.ShardError
+		refusal *api.Error
+		refAt   int
 	)
 	for _, i := range targets {
 		wg.Add(1)
@@ -223,18 +256,28 @@ func (c *Coordinator) scatter(ctx context.Context, targets []int, call func(ctx 
 			c.stats.ShardCalls.Add(1)
 			callCtx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 			defer cancel()
-			if err := call(callCtx, i, &c.shards[i]); err != nil {
-				c.stats.ShardErrors.Add(1)
-				mu.Lock()
-				errs = append(errs, api.ShardError{Shard: c.shards[i].meta.ID, Error: err.Error()})
-				mu.Unlock()
+			err := call(callCtx, i, &c.shards[i])
+			if err == nil {
+				return
 			}
+			mu.Lock()
+			defer mu.Unlock()
+			if e, ok := verdict(err); ok {
+				if refusal == nil || i < refAt {
+					refusal, refAt = e, i
+				}
+				return
+			}
+			c.stats.ShardErrors.Add(1)
+			errs = append(errs, api.ShardError{Shard: c.shards[i].meta.ID, Error: err.Error()})
 		}(i)
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		sort.Slice(errs, func(a, b int) bool { return errs[a].Shard < errs[b].Shard })
-		return &DegradedError{Shards: errs}
+	switch {
+	case refusal != nil:
+		return refusal
+	case len(errs) > 0:
+		return c.degraded(errs)
 	}
 	return nil
 }
@@ -438,6 +481,7 @@ func (c *Coordinator) knn(ctx context.Context, req api.KNNRequest, tr *queryTrac
 	ep.observe(final.Epoch)
 	cost.add(final.Cost)
 	tr.charge(traceRankC2, final.Cost)
+	c.stats.Queries.Add(1)
 	return api.Result{Neighbors: final.Neighbors, Cost: cost.sum}, ep.merged(), nil
 }
 
@@ -484,6 +528,7 @@ func (c *Coordinator) rangeQuery(ctx context.Context, req api.RangeRequest, tr *
 			ep.observe(hz.Epoch)
 		}
 	}
+	c.stats.Queries.Add(1)
 	return api.Result{Neighbors: merged, Cost: cost.sum}, ep.merged(), nil
 }
 
@@ -517,6 +562,7 @@ func (c *Coordinator) ea(ctx context.Context, req api.KNNRequest, tr *queryTrace
 		return api.Result{}, 0, err
 	}
 	merged := mergeNeighbors(geom.Vec2{X: req.X, Y: req.Y}, lists, req.K)
+	c.stats.Queries.Add(1)
 	return api.Result{Neighbors: merged, Cost: cost.sum}, ep.merged(), nil
 }
 
@@ -577,18 +623,16 @@ func (c *Coordinator) distance(ctx context.Context, req api.DistanceRequest, tr 
 		cancel()
 		if err == nil {
 			tr.touch(traceScatter, c.tileIDs([]int{i}))
+			c.stats.Queries.Add(1)
 			return res, meta.Epoch, nil
 		}
-		c.stats.ShardErrors.Add(1)
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError {
-			// A 4xx is the answer (bad point, off-terrain), not an outage:
-			// every shard would refuse identically.
-			return api.DistanceResponse{}, 0, err
+		if e, ok := verdict(err); ok {
+			return api.DistanceResponse{}, 0, e
 		}
+		c.stats.ShardErrors.Add(1)
 		errs = append(errs, api.ShardError{Shard: sc.meta.ID, Error: err.Error()})
 	}
-	return api.DistanceResponse{}, 0, &DegradedError{Shards: errs}
+	return api.DistanceResponse{}, 0, c.degraded(errs)
 }
 
 // Upsert applies one object batch fleet-wide under the next epoch: each
@@ -601,13 +645,12 @@ func (c *Coordinator) distance(ctx context.Context, req api.DistanceRequest, tr 
 func (c *Coordinator) Upsert(ctx context.Context, req api.UpsertRequest) (api.UpdateResponse, error) {
 	for i, o := range req.Objects {
 		if o.ID == nil {
-			return api.UpdateResponse{}, &badRequestError{fmt.Sprintf("objects[%d]: missing id", i)}
+			return api.UpdateResponse{}, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "objects[%d]: missing id", i)
 		}
 	}
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
-	epoch := c.epoch + 1
-	c.epoch = epoch
+	epoch := c.epoch.Add(1)
 
 	owned := make([][]api.UpsertObject, len(c.shards))
 	allIDs := make([]int64, len(req.Objects))
@@ -647,8 +690,7 @@ func (c *Coordinator) Upsert(ctx context.Context, req api.UpsertRequest) (api.Up
 func (c *Coordinator) Delete(ctx context.Context, req api.DeleteRequest) (api.DeleteResponse, error) {
 	c.epochMu.Lock()
 	defer c.epochMu.Unlock()
-	epoch := c.epoch + 1
-	c.epoch = epoch
+	epoch := c.epoch.Add(1)
 
 	var deleted int64
 	var mu sync.Mutex
@@ -716,9 +758,3 @@ func (c *Coordinator) Healthz(ctx context.Context) (api.Healthz, error) {
 	out.Epoch = ep.merged()
 	return out, nil
 }
-
-// badRequestError marks a validation failure the HTTP layer should map to
-// 400 rather than 503.
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }

@@ -1,17 +1,16 @@
 package shard
 
-// The coordinator's SKQL surface: POST /v1/query and POST /v1/explain,
-// compiled by the same sklang planner the single-node server uses and
-// executed by the scatter-gather primitives, so a statement answers
-// bit-identically whether it reaches a server or a coordinator. The
-// EXPLAIN answer differs on purpose: a coordinator rewrites each engine
-// cost phase into the distributed step that carries it out — "scatter:*"
-// fan-outs and "rank:*" single-shard steps — annotated with the tiles the
-// execution actually touched and the shard-reported costs.
+// The coordinator's SKQL backend: statements arrive compiled by the shared
+// front end (internal/server) and are executed by the scatter-gather
+// primitives, so a statement answers bit-identically whether it reaches a
+// server or a coordinator. The EXPLAIN answer differs on purpose: a
+// coordinator rewrites each engine cost phase into the distributed step
+// that carries it out — "scatter:*" fan-outs and "rank:*" single-shard
+// steps — annotated with the tiles the execution actually touched and the
+// shard-reported costs.
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"net/http"
 	"strconv"
 	"sync"
@@ -77,69 +76,40 @@ func (t *queryTrace) bound(r float64) {
 	t.mu.Unlock()
 }
 
-// catalog snapshots what the planner needs to know about the fleet: the
+// Catalog snapshots what the planner needs to know about the fleet: the
 // manifest's object counts and extent, plus the face count learned in
 // Verify.
-func (c *Coordinator) catalog() sklang.Catalog {
+func (c *Coordinator) Catalog() sklang.Catalog {
 	objects := 0
 	for _, m := range c.cfg.Manifest.Shards {
 		objects += m.Objects
 	}
-	c.epochMu.Lock()
-	faces := c.faces
-	c.epochMu.Unlock()
 	return sklang.Catalog{
 		Objects: objects,
-		Faces:   faces,
+		Faces:   int(c.faces.Load()),
 		Area:    c.cfg.Manifest.Extent.MBR().Area(),
 	}
 }
 
-// langError maps a parse/plan diagnostic onto the 400 envelope with the
-// offending position, mirroring the single-node server's contract.
-func (c *Coordinator) langError(w http.ResponseWriter, err error) {
-	var le *sklang.Error
-	if !errors.As(err, &le) {
-		c.badRequest(w, "%v", err)
-		return
-	}
-	c.stats.BadRequests.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	enc := json.NewEncoder(w)
-	//lint:ignore dropped-error the reply path has no caller to surface a write error to
-	_ = enc.Encode(api.ErrorEnvelope{Error: api.ErrorBody{
-		Code:    api.CodeBadRequest,
-		Message: le.Error(),
-		Line:    le.Pos.Line,
-		Col:     le.Pos.Col,
-		Token:   le.Tok,
-	}})
+// Query executes a compiled statement over the fleet.
+func (c *Coordinator) Query(ctx context.Context, plan *sklang.Plan, timeout api.Duration) (api.QueryResponse, uint64, error) {
+	return c.execPlan(ctx, plan, timeout, nil)
 }
 
-// compile parses and plans a statement against the fleet catalog, writing
-// the 400 itself on failure.
-func (c *Coordinator) compile(w http.ResponseWriter, q string) (*sklang.Plan, bool) {
-	plan, err := sklang.Compile(q, c.catalog())
+// Explain executes a compiled statement and returns the distributed plan
+// it ran (see coordPlanNode).
+func (c *Coordinator) Explain(ctx context.Context, plan *sklang.Plan, timeout api.Duration) (api.PlanNode, uint64, error) {
+	tr := &queryTrace{}
+	_, epoch, err := c.execPlan(ctx, plan, timeout, tr)
 	if err != nil {
-		c.langError(w, err)
-		return nil, false
+		return api.PlanNode{}, 0, err
 	}
-	if plan.K > maxK {
-		c.badRequest(w, "k must be in [1, %d], got %d", maxK, plan.K)
-		return nil, false
-	}
-	if plan.Algo == sklang.AlgoContinuous {
-		c.badRequest(w, "SUBSCRIBE needs per-session state; connect to a shard server for subscriptions")
-		return nil, false
-	}
-	return plan, true
+	return coordPlanNode(plan, tr), epoch, nil
 }
 
 // execPlan scatters a compiled plan and returns the merged answer. The
 // trace records tiles and shard costs for EXPLAIN.
-func (c *Coordinator) execPlan(r *http.Request, plan *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.QueryResponse, uint64, error) {
-	ctx := r.Context()
+func (c *Coordinator) execPlan(ctx context.Context, plan *sklang.Plan, timeout api.Duration, tr *queryTrace) (api.QueryResponse, uint64, error) {
 	resp := api.QueryResponse{Form: plan.Form, Algorithm: string(plan.Algo)}
 	switch plan.Algo {
 	case sklang.AlgoMR3:
@@ -185,8 +155,12 @@ func (c *Coordinator) execPlan(r *http.Request, plan *sklang.Plan, timeout api.D
 		resp.Result = api.Result{Neighbors: []api.Neighbor{}}
 		resp.Distance = &res
 		return resp, epoch, nil
+	case sklang.AlgoContinuous:
+		return resp, 0, api.Errorf(http.StatusBadRequest, api.CodeBadRequest,
+			"SUBSCRIBE needs per-session state; connect to a shard server for subscriptions")
 	default:
-		return resp, 0, &badRequestError{"statement form not executable on a coordinator"}
+		return resp, 0, api.Errorf(http.StatusBadRequest, api.CodeBadRequest,
+			"statement form not executable on a coordinator")
 	}
 }
 
@@ -203,61 +177,6 @@ func filterNeighbors(ns []api.Neighbor, radius float64) []api.Neighbor {
 		out = []api.Neighbor{}
 	}
 	return out
-}
-
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req api.QueryRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	plan, ok := c.compile(w, req.Q)
-	if !ok {
-		return
-	}
-	if plan.Explain {
-		c.badRequest(w, "EXPLAIN statements are answered by POST /v1/explain")
-		return
-	}
-	resp, epoch, err := c.execPlan(r, plan, req.Timeout, nil)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, resp)
-}
-
-func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req api.ExplainRequest
-	if !c.decode(w, r, &req) {
-		return
-	}
-	plan, ok := c.compile(w, req.Q)
-	if !ok {
-		return
-	}
-	tr := &queryTrace{}
-	_, epoch, err := c.execPlan(r, plan, req.Timeout, tr)
-	if err != nil {
-		c.writeQueryError(w, err)
-		return
-	}
-	root := coordPlanNode(plan, tr)
-	c.stats.Queries.Add(1)
-	c.writeResult(w, epoch, api.ExplainResponse{
-		Query:     plan.Canonical,
-		Form:      plan.Form,
-		Algorithm: string(plan.Algo),
-		Plan:      root,
-		Text:      sklang.RenderNode(root),
-		Epoch:     epoch,
-	})
-}
-
-func (c *Coordinator) handleExplainConsole(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	//lint:ignore dropped-error a client gone mid-reply is not a server failure
-	_, _ = w.Write([]byte(sklang.ExplainHTML))
 }
 
 // coordPlanNode rewrites a compiled plan into the distributed plan the

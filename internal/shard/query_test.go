@@ -80,7 +80,7 @@ func TestCoordinatorQuery(t *testing.T) {
 
 	// Parse errors carry a position the caret diagnostic needs.
 	_, _, err = cli.Query(ctx, api.QueryRequest{Q: "SELECT k=5 NEAREST (800"})
-	var apiErr *client.APIError
+	var apiErr *api.Error
 	if !asAPIError(err, &apiErr) || apiErr.Line != 1 || apiErr.Col == 0 {
 		t.Errorf("parse error = %v, want a positioned 400", err)
 	}

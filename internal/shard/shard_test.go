@@ -373,7 +373,7 @@ func TestCoordinatorHTTP(t *testing.T) {
 
 	// Validation failures are typed envelopes, not scatters.
 	_, _, err = cli.KNN(ctx, api.KNNRequest{X: 800, Y: 800, K: 0})
-	var apiErr *client.APIError
+	var apiErr *api.Error
 	if !asAPIError(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != api.CodeBadRequest {
 		t.Errorf("k=0 error = %v, want 400 bad_request", err)
 	}
@@ -395,9 +395,9 @@ func TestShardDownDegradation(t *testing.T) {
 	downID := f.manifest.Shards[3].ID
 
 	_, _, err := cli.KNN(ctx, api.KNNRequest{X: 800, Y: 800, K: 5})
-	var apiErr *client.APIError
+	var apiErr *api.Error
 	if !asAPIError(err, &apiErr) {
-		t.Fatalf("knn with a dead shard = %v, want APIError", err)
+		t.Fatalf("knn with a dead shard = %v, want api.Error", err)
 	}
 	if apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeShardUnavailable {
 		t.Fatalf("status %d code %q, want 503 shard_unavailable", apiErr.Status, apiErr.Code)
@@ -468,9 +468,9 @@ func TestVerifyRejectsMismatchedTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = coord.Verify(context.Background())
-	var deg *DegradedError
-	if !errors.As(err, &deg) {
-		t.Fatalf("verify = %v, want DegradedError", err)
+	var deg *api.Error
+	if !errors.As(err, &deg) || deg.Code != api.CodeShardUnavailable {
+		t.Fatalf("verify = %v, want shard_unavailable", err)
 	}
 	if len(deg.Shards) != 1 || deg.Shards[0].Shard != man.Shards[1].ID ||
 		!strings.Contains(deg.Shards[0].Error, "shard id") {
@@ -478,6 +478,6 @@ func TestVerifyRejectsMismatchedTopology(t *testing.T) {
 	}
 }
 
-func asAPIError(err error, target **client.APIError) bool {
+func asAPIError(err error, target **api.Error) bool {
 	return errors.As(err, target)
 }

@@ -302,6 +302,28 @@ healthz=$(curl -fsS "http://$coord_addr/v1/healthz")
 printf '%s' "$healthz" | grep -q '"status":"ok"'
 printf '%s' "$healthz" | grep -q '"id":"tile-0-0"'
 printf '%s' "$healthz" | grep -q '"id":"tile-1-0"'
+# One front end: skserve (shard 0) and skcoord refuse the same bad request
+# with byte-identical envelopes — an invalid schedule is a 400 decided
+# before any shard call, an unknown route a 404.
+for probe in "/v1/knn 400 bad_request" "/v1/nope 404 not_found"; do
+    read -r path want_status want_code <<< "$probe"
+    for side in shard coord; do
+        if [ "$side" = shard ]; then side_addr=$shard0_addr; else side_addr=$coord_addr; fi
+        status=$(curl -sS -o "/tmp/skfleet.check.env.$side" -w '%{http_code}' -X POST \
+            "http://$side_addr$path" -d '{"x":800,"y":800,"k":3,"sched":7}')
+        if [ "$status" != "$want_status" ] || \
+            ! grep -q "\"code\":\"$want_code\"" "/tmp/skfleet.check.env.$side"; then
+            echo "$side POST $path answered $status, want $want_status $want_code:" >&2
+            cat "/tmp/skfleet.check.env.$side" >&2
+            exit 1
+        fi
+    done
+    if ! cmp -s /tmp/skfleet.check.env.shard /tmp/skfleet.check.env.coord; then
+        echo "skserve and skcoord error envelopes differ for POST $path:" >&2
+        cat /tmp/skfleet.check.env.shard /tmp/skfleet.check.env.coord >&2
+        exit 1
+    fi
+done
 knn=$(curl -fsSi -X POST "http://$coord_addr/v1/knn" -d '{"x":800,"y":800,"k":3}')
 if ! printf '%s' "$knn" | grep -q '"neighbors"'; then
     echo "coordinator /v1/knn returned no neighbors: $knn" >&2
@@ -344,6 +366,14 @@ if ! printf '%s' "$knn2" | grep -q '"id":9001'; then
     echo "post-upsert coordinator /v1/knn does not see object 9001: $knn2" >&2
     exit 1
 fi
+vars=$(curl -fsS "http://$coord_addr/debug/vars")
+for needle in '"surfknn_server"' '"surfknn_coord"' '"fanout"' '"shard_calls"'; do
+    if ! printf '%s' "$vars" | grep -q "$needle"; then
+        echo "coordinator /debug/vars is missing $needle" >&2
+        printf '%s\n' "$vars" >&2
+        exit 1
+    fi
+done
 kill -TERM "$coord_pid"
 if ! wait "$coord_pid"; then
     echo "skcoord exited non-zero after SIGTERM" >&2
